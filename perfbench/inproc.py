@@ -4,9 +4,13 @@ its peak RSS is its own.
     python [-X importtime] perfbench/inproc.py WORKLOAD SEED SECONDS TRACE RESULT_JSON WORKDIR
 
 The child sets up SETUP_REPEATS times, then runs a closed loop of iterations
-for SECONDS.  With TRACE=1 the first half of the loop runs untraced and the
-second half with the tracer installed.  Timings, checks and per-layer values
-go to RESULT_JSON.
+for SECONDS.  With TRACE=1 traced and untraced iterations alternate, the
+tracer installed for each traced one and removed after it.  Timings, checks,
+per-layer values and the loop's peak RSS go to RESULT_JSON.
+
+The peak RSS is the high-water mark of the timed loop alone: set-up's
+leftovers are dropped and the kernel's mark is reset (``/proc/self/clear_refs``)
+just before the loop starts.
 """
 
 import sys
@@ -27,7 +31,6 @@ import tracing
 
 ROOT = Path(__file__).resolve().parent.parent
 CODE_TABLE = ROOT / "src" / "disclim" / "data" / "country_codes.csv"
-SETUP_REPEATS = 3
 TOLERANCE = 1e-9
 
 
@@ -48,6 +51,7 @@ class IngestBulk:
         self.directory = workdir / "corpus"
 
     def setup(self) -> None:
+        self.src = self.reference_outputs = None  # hold one generation at a time
         self.src = generate.generate(self.seed, str(CODE_TABLE))
         self.work = sum(self.src.rows.values())
         self.reference_outputs = self.iterate(calibration.Steps())
@@ -95,6 +99,7 @@ class CorrelateWide:
         self.seed = seed
 
     def setup(self) -> None:
+        self.src = self.corpus = self.reference_outputs = None  # one generation at a time
         self.src = generate.generate(self.seed, str(CODE_TABLE))
         self.corpus = disclim.corpus.build_corpus(_parse_sources(self.src))
         rng = random.Random(self.seed)
@@ -113,15 +118,17 @@ class CorrelateWide:
         self.work = len(disclim.stats.METHODS) * k * (k - 1) // 2
         self.reference_outputs = self.iterate(calibration.Steps())
 
-    def _analyse(self):
-        corpus, stats = self.corpus, disclim.stats
+    def _select(self):
+        corpus = self.corpus
         series = [corpus.anomaly_series()]
         series += [corpus.build_series(s, "deaths") for s in self.selectors]
-        table = disclim.corpus.align_union(series)
-        return table, [stats.correlation_matrix(table, m) for m in stats.METHODS]
+        return disclim.corpus.align_union(series)
 
     def iterate(self, steps):
-        table, matrices = steps.run("analyse", self._analyse)
+        stats = disclim.stats
+        table = steps.run("select", self._select)
+        matrices = [steps.run(m, lambda m=m: stats.correlation_matrix(table, m))
+                    for m in stats.METHODS]
         rendered = steps.run("render", lambda: [
             (m.to_delimited().encode("utf-8"), disclim.charts.render_heatmap_svg(m))
             for m in matrices
@@ -174,51 +181,65 @@ class CorrelateWide:
 WORKLOADS = {"ingest-bulk": IngestBulk, "correlate-wide": CorrelateWide}
 
 
-def run_loop(workload, seconds: float, tracer=None) -> list[dict]:
-    """Closed loop, one iteration at a time, until *seconds* have passed."""
-    iterations = []
-    deadline = perf_counter() + seconds
-    while not iterations or perf_counter() < deadline:
+def iteration(workload, tracer=None) -> dict:
+    """One timed, checked iteration, traced when *tracer* is given."""
+    if tracer is not None:
+        tracer.reset()
+        tracing.install(tracer)
+    # every iteration starts from an empty collector, so that where the
+    # collections fall does not differ from run to run
+    gc.collect()
+    steps = calibration.Steps()
+    try:
+        outputs = workload.iterate(steps)
+    except Exception as exc:  # a program failure is a failed operation, not a crash
+        return {"ok": False, "problems": [repr(exc)]}
+    finally:
         if tracer is not None:
-            tracer.reset()
-        # every iteration starts from an empty collector, so that where the
-        # collections fall does not differ from run to run
-        gc.collect()
-        steps = calibration.Steps()
-        try:
-            outputs = workload.iterate(steps)
-        except Exception as exc:  # a program failure is a failed operation, not a crash
-            iterations.append({"ok": False, "problems": [repr(exc)]})
-            continue
-        timings = steps.record
-        if tracer is not None:
-            timings["layers"] = tracing.layer_metrics(tracer.spans, tracer.counts)
-        problems = workload.check(outputs)
-        iterations.append({**timings, "ok": not problems, "problems": problems[:5]})
-    return iterations
+            tracing.uninstall(tracer)
+    timings = steps.record
+    if tracer is not None:
+        timings["layers"] = tracing.layer_metrics(tracer.spans, tracer.counts)
+    problems = workload.check(outputs)
+    return {**timings, "ok": not problems, "problems": problems[:5]}
+
+
+def reset_peak_rss() -> None:
+    with open("/proc/self/clear_refs", "w", encoding="ascii") as handle:
+        handle.write("5")
+
+
+def peak_rss_mb() -> float:
+    with open("/proc/self/status", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmHWM in /proc/self/status")
 
 
 def main() -> None:
     name, seed, seconds, trace, result_path, workdir = sys.argv[1:]
     workload = WORKLOADS[name](int(seed), Path(workdir))
     setup = []
-    for _ in range(SETUP_REPEATS):
+    for _ in range(calibration.SETUP_REPEATS):
         steps = calibration.Steps()
         steps.run("setup", workload.setup)
         setup.append(steps.record)
     workload.prepare_checks()
     for problem in workload.check(workload.reference_outputs)[:5]:
         print(f"warm-up iteration: {problem}", file=sys.stderr)
-    if trace == "1":
-        untraced = run_loop(workload, float(seconds) / 2)
-        tracer = tracing.Tracer()
-        tracing.install(tracer)
-        traced = run_loop(workload, float(seconds) / 2, tracer)
-    else:
-        untraced, traced = run_loop(workload, float(seconds)), []
+    workload.reference_outputs = None  # the checks have what they need from it
+    tracer = tracing.Tracer() if trace == "1" else None
+    gc.collect()
+    reset_peak_rss()
+    records = calibration.closed_loop(
+        float(seconds), lambda i: iteration(workload, tracer if i % 2 else None)
+    )
+    rss_mb = peak_rss_mb()
     with open(result_path, "w", encoding="utf-8") as handle:
-        json.dump({"setup": setup, "work": workload.work,
-                   "untraced": untraced, "traced": traced}, handle)
+        json.dump({"setup": setup, "work": workload.work, "rss_mb": rss_mb,
+                   "untraced": records[::2] if tracer else records,
+                   "traced": records[1::2] if tracer else []}, handle)
 
 
 if __name__ == "__main__":

@@ -35,12 +35,7 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 BUNDLED = SRC / "disclim" / "data" / "bundled"
 WORKLOADS = ("cli-cold", "ingest-bulk", "correlate-wide")
-SETUP_REPEATS = 3
 CORR_ARGS = ("corr", "--method", "pearson", "--against", "occurrence")
-
-
-def median(values):
-    return statistics.median(values)
 
 
 def tail(values):
@@ -175,7 +170,7 @@ def cli_cold(seed: int, seconds: float, trace: bool, workdir: Path) -> dict:
         return made
 
     setup = []
-    for _ in range(SETUP_REPEATS):
+    for _ in range(calibration.SETUP_REPEATS):
         steps = calibration.Steps()
         made = steps.run("setup", set_up)
         setup.append(steps.record)
@@ -210,18 +205,11 @@ def cli_cold(seed: int, seconds: float, trace: bool, workdir: Path) -> dict:
             record["layers"] = cli_layers([corr, report])
         return record
 
-    def loop(duration: float, traced: bool) -> list[dict]:
-        iterations, deadline = [], perf_counter() + duration
-        while not iterations or perf_counter() < deadline:
-            iterations.append(one_iteration(traced))
-        return iterations
-
-    if trace:
-        untraced, traced = loop(seconds / 2, False), loop(seconds / 2, True)
-    else:
-        untraced, traced = loop(seconds, False), []
-    return {"setup": setup, "work": 2, "untraced": untraced, "traced": traced,
-            "ops_per_iteration": 2}
+    # traced runs alternate untraced and traced iterations
+    records = calibration.closed_loop(seconds, lambda i: one_iteration(trace and i % 2 == 1))
+    return {"setup": setup, "work": 2, "ops_per_iteration": 2,
+            "untraced": records[::2] if trace else records,
+            "traced": records[1::2] if trace else []}
 
 
 def cli_layers(procs: list[Process]) -> dict:
@@ -262,7 +250,7 @@ def in_process(workload: str, seed: int, seconds: float, trace: bool, workdir: P
     result = json.loads((workdir / "result.json").read_text())
     imports = tracing.import_times(stderr)
     for record in result["untraced"] + result["traced"]:
-        record["rss_mb"] = proc.rss_mb
+        record["rss_mb"] = result["rss_mb"]
         record["failed_ops"] = 0 if record["ok"] else 1
         if "layers" in record:
             record["layers"].update(imports, **{"cli.process_overhead_ms": 0.0})
@@ -276,7 +264,10 @@ def in_process(workload: str, seed: int, seconds: float, trace: bool, workdir: P
 SECTIONS = {
     "cli-cold": {"step1": ("corr",), "step2": ("report",)},
     "ingest-bulk": {"step1": ("parse", "build"), "step2": ("save", "reload")},
-    "correlate-wide": {"step1": ("analyse",), "step2": ("render",)},
+    # one section per matrix (disclim.stats.METHODS), so that each stays short
+    # enough for the kernel around it to track the host's speed
+    "correlate-wide": {"step1": ("select", "pearson", "spearman", "kendall-tau-a", "kendall-tau-b"),
+                       "step2": ("render",)},
 }
 
 # the workload's own metric names: (name, unit, section, statistic)
@@ -314,11 +305,11 @@ def section_ms(record: dict, steps: dict, scaled: bool) -> dict[str, float]:
 
 def statistic(stat: str, samples: list[float], work: int) -> tuple[float, str]:
     if stat == "median":
-        return median(samples), f"median of {len(samples)}"
+        return statistics.median(samples), f"median of {len(samples)}"
     if stat == "tail":
         value, pct, n = tail(samples)
         return value, f"p{pct:.0f} of {n} samples"
-    return 1000.0 * work / median(samples), "over the median"
+    return 1000.0 * work / statistics.median(samples), "over the median"
 
 
 def report(workload: str, result: dict, trace: bool, spec: dict) -> dict:
@@ -336,12 +327,12 @@ def report(workload: str, result: dict, trace: bool, spec: dict) -> dict:
     setup = [at_reference(s, "setup") for s in result["setup"]]
     iter_tail = tail(steps["iter"])
     values = {
-        "setup_s": median(setup),
-        "step1_ms": median(steps["step1"]),
-        "step2_ms": median(steps["step2"]),
-        "iter_ms": median(steps["iter"]),
+        "setup_s": statistics.median(setup),
+        "step1_ms": statistics.median(steps["step1"]),
+        "step2_ms": statistics.median(steps["step2"]),
+        "iter_ms": statistics.median(steps["iter"]),
         "iter_tail_ms": iter_tail[0],
-        "work_per_s": 1000.0 * result["work"] / median(steps["iter"]),
+        "work_per_s": 1000.0 * result["work"] / statistics.median(steps["iter"]),
         "peak_rss_mb": max(r["rss_mb"] for r in timed),
     }
 
@@ -351,7 +342,7 @@ def report(workload: str, result: dict, trace: bool, spec: dict) -> dict:
         value, note = statistic(stat, steps[step], result["work"])
         wall, _ = statistic(stat, walls[step], result["work"])
         print(f"  {name:<20} {value:12.3f} {unit:<4} [{wall:12.3f}]  {note}")
-    wall_setup = median(s["setup"] for s in result["setup"])
+    wall_setup = statistics.median(s["setup"] for s in result["setup"])
     print(f"  {'setup_s':<20} {values['setup_s']:12.3f} s    [{wall_setup:12.3f}]"
           f"  median of {len(setup)}")
     print(f"  {'failed_ratio':<20} {failed / attempted:12.3f}       {failed}/{attempted}")
@@ -363,9 +354,12 @@ def report(workload: str, result: dict, trace: bool, spec: dict) -> dict:
     listed = spec["end_to_end"]
     if trace:
         traced = [r for r in result["traced"] if "layers" in r]
-        values = {name: median(r["layers"][name] for r in traced) for name in traced[0]["layers"]}
+        values = {name: statistics.median(r["layers"][name] for r in traced)
+                  for name in traced[0]["layers"]}
+        # traced and untraced iterations alternate, so host drift cancels
         values["trace.overhead_ms"] = (
-            median(section_ms(r, sections, True)["iter"] for r in traced) - median(steps["iter"])
+            statistics.median(section_ms(r, sections, True)["iter"] for r in traced)
+            - statistics.median(steps["iter"])
         )
         listed = spec["per_layer"]
         for entry in listed:

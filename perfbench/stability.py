@@ -3,6 +3,7 @@
     python3 perfbench/stability.py --runs 10 --out perfbench/baseline.json
     python3 perfbench/stability.py --runs 5 --workloads correlate-wide --compare perfbench/baseline.json
 
+Seeds run from 1 to --runs, each run lasts BENCHMARK.json's run_seconds.
 For each end-to-end metric it reports the median of the runs, their quartiles
 (``statistics.quantiles(values, n=4)``) and the spread, (q3 - q1) / median.
 A metric is steady when its spread is below a third of its bound; setup_s is
@@ -69,23 +70,22 @@ def main() -> int:
     names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workloads", default=",".join(names))
-    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--compare", help="a summary written earlier by --out")
     parser.add_argument("--out", help="write the summary here as JSON")
     args = parser.parse_args()
 
     earlier = json.loads(Path(args.compare).read_text()) if args.compare else None
-    summary = {"machine": machine(), "run_seconds": args.seconds, "workloads": {}}
+    seconds = spec["run_seconds"]
+    summary = {"machine": machine(), "run_seconds": seconds, "workloads": {}}
     for workload in args.workloads.split(","):
-        seeds = range(args.first_seed, args.first_seed + args.runs)
+        seeds = range(1, args.runs + 1)
         runs = []
         for seed in seeds:
-            runs.append(run_once(workload, seed, args.seconds, 0))
+            runs.append(run_once(workload, seed, seconds, 0))
             print(f"  {workload} seed {seed}: " + ", ".join(
                 f"{k} {v['value']:.4g}" for k, v in runs[-1]["metrics"].items()), flush=True)
-        traced = run_once(workload, args.first_seed, args.seconds, 1)
+        traced = run_once(workload, 1, seconds, 1)
         entry = {
             "seeds": list(seeds),
             "correct": all(r["correct"] for r in runs + [traced]),

@@ -5,6 +5,8 @@
 example ``disclim.corpus.coerce_records`` as well as
 ``disclim.ingest.coerce_records``).  Spans (name, parent, start, end) and
 counts stay in memory until ``dump`` or ``layer_metrics`` reads them.
+``uninstall(tracer)`` puts every patched name back, so that traced and
+untraced iterations can alternate in one process.
 
 A layer's time is the self time of its spans: span duration minus the
 child spans inside it.  ``cli.main_ms`` is the exception; it is the whole
@@ -70,11 +72,15 @@ COUNT_METRICS = (
 )
 
 
+_MISSING = object()
+
+
 class Tracer:
     def __init__(self):
         self.spans: list[list] = []          # [name, parent index, start, end]
         self.counts: dict[str, int] = defaultdict(int)
         self.open: dict[str, int] = defaultdict(int)
+        self.patched: list[tuple] = []       # (owner, attribute, original value)
         self._stack: list[int] = []
 
     def reset(self) -> None:
@@ -106,23 +112,38 @@ class Tracer:
             json.dump({"spans": self.spans, "counts": self.counts}, handle)
 
 
-def _patch_name(original, replacement) -> None:
+def _set(tracer: Tracer, owner, attr: str, value) -> None:
+    tracer.patched.append((owner, attr, vars(owner).get(attr, _MISSING)))
+    setattr(owner, attr, value)
+
+
+def _patch_name(tracer: Tracer, original, replacement) -> None:
     for name, module in list(sys.modules.items()):
         if name == "disclim" or name.startswith("disclim."):
             for attr, value in list(vars(module).items()):
                 if value is original:
-                    setattr(module, attr, replacement)
+                    _set(tracer, module, attr, replacement)
 
 
-def _patch(module_name: str, attr: str, make) -> None:
+def _patch(tracer: Tracer, module_name: str, attr: str, make) -> None:
     module = sys.modules[module_name]
     if "." in attr:
         owner_name, method = attr.split(".")
         owner = getattr(module, owner_name)
-        setattr(owner, method, make(owner.__dict__[method]))
+        _set(tracer, owner, method, make(owner.__dict__[method]))
     else:
         original = getattr(module, attr)
-        _patch_name(original, make(original))
+        _patch_name(tracer, original, make(original))
+
+
+def uninstall(tracer: Tracer) -> None:
+    """Undo ``install(tracer)``: every patched name gets its original back."""
+    while tracer.patched:
+        owner, attr, original = tracer.patched.pop()
+        if original is _MISSING:
+            delattr(owner, attr)
+        else:
+            setattr(owner, attr, original)
 
 
 def install(tracer: Tracer) -> None:
@@ -163,7 +184,7 @@ def install(tracer: Tracer) -> None:
     }
     for span_name, module_name, attr in SPANNED:
         after = afters.get(attr)
-        _patch(module_name, attr, lambda fn, n=span_name, a=after: tracer.wrap(n, fn, a))
+        _patch(tracer, module_name, attr, lambda fn, n=span_name, a=after: tracer.wrap(n, fn, a))
 
     def count_records(cls):
         original = cls.__post_init__
@@ -174,7 +195,7 @@ def install(tracer: Tracer) -> None:
                 tracer.counts["build.region_records"] += 1
             original(self)
 
-        cls.__post_init__ = post_init
+        _set(tracer, cls, "__post_init__", post_init)
 
     for cls in (records.DisasterRecord, records.TypeRecord, records.AnomalyRecord):
         count_records(cls)
@@ -187,7 +208,7 @@ def install(tracer: Tracer) -> None:
         tracer.counts["isocodes.unresolved"] += entry is None
         return entry
 
-    disclim.isocodes.IsoCodeTable.normalize = normalize
+    _set(tracer, disclim.isocodes.IsoCodeTable, "normalize", normalize)
 
     hashlib = corpus.hashlib
 
@@ -198,7 +219,7 @@ def install(tracer: Tracer) -> None:
                 tracer.counts["corpus.digest_checks"] += 1
             return hashlib.sha256(payload)
 
-    corpus.hashlib = CountingHashlib
+    _set(tracer, corpus, "hashlib", CountingHashlib)
 
     estimator_depth = [0]
 
@@ -218,7 +239,7 @@ def install(tracer: Tracer) -> None:
         return counted
 
     for name in ("pearson", "spearman", "kendall"):
-        _patch_name(getattr(stats, name), count_estimator(getattr(stats, name)))
+        _patch_name(tracer, getattr(stats, name), count_estimator(getattr(stats, name)))
 
 
 def self_times(spans) -> dict[str, float]:
