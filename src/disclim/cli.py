@@ -115,10 +115,18 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_atomic(path: Path, payload: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    # a temp name of its own per call, created exclusively, so that two runs
+    # writing into one --out never clobber each other's half-written files
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "xb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp.exists():
+            tmp.unlink()
+        raise DataError(f"cannot write {path}: {exc}") from None
 
 
 def _resolve_corpus(config: RunConfig) -> Corpus:
@@ -217,7 +225,8 @@ def _choropleth_inputs(corpus: Corpus, measure: str, year: int | None) -> dict[s
         if value is not None:
             values[rec.entity] = values.get(rec.entity, 0.0) + value
     if not values:
-        raise DataError(f"no {measure!r} values" + (f" for year {year}" if year else ""))
+        where = "" if year is None else f" for year {year}"
+        raise DataError(f"no {measure!r} values{where}")
     return values
 
 

@@ -1,14 +1,14 @@
 """Corpus assembly: typed records -> annual series -> joined year tables.
 
 A corpus bundles the three coerced sources (per-region disasters, per-type
-disasters, temperature anomaly), applies the null-exclusion policy, and
-offers year-keyed views.  Persistence writes one delimited table per source
-plus a manifest with content digests, so a reload is byte-verifiable.
+disasters, temperature anomaly), applies the null-exclusion policy to their
+measure columns, and offers year-keyed views.  Persistence writes one
+delimited table per source plus a manifest with content digests, so a
+reload is byte-verifiable.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from collections.abc import Iterable, Sequence
@@ -24,13 +24,11 @@ from .errors import (
     UnknownSelectorError,
 )
 from .ingest import RawTable, SchemaKind, coerce_records, detect_schema, parse_delimited
-from .isocodes import IsoCodeTable, load_default_codes
 from .records import (
     MEASURES,
     AnomalyRecord,
     DisasterRecord,
     DisasterType,
-    NullReport,
     TypeRecord,
     parse_disaster_type,
 )
@@ -96,7 +94,7 @@ class JoinedTable:
         try:
             return self.columns[self.labels.index(label)]
         except ValueError:
-            raise UnknownSelectorError(label) from None
+            raise UnknownSelectorError(f"no series labelled {label!r}") from None
 
     def is_complete(self) -> bool:
         return all(v is not None for col in self.columns for v in col)
@@ -180,7 +178,7 @@ class Corpus:
                     if value is not None:
                         by_year[rec.year] = by_year.get(rec.year, 0.0) + value
             if not matched:
-                raise UnknownSelectorError(selector)
+                raise UnknownSelectorError(f"unknown entity or disaster type {label!r}")
         if not by_year:
             known = self._known_measures(selector)
             raise UnknownMeasureError(
@@ -211,78 +209,42 @@ class Corpus:
         return [t.display for t in sorted(present, key=lambda t: (t.is_aggregate, t.display))]
 
 
-def _apply_exclusions(records, null_report: NullReport, table: RawTable, kind: SchemaKind,
-                      threshold: float) -> tuple[list, list[str]]:
-    from .ingest import canonical_measure
-
-    excluded: list[str] = []
-    for column in table.header:
-        if kind is SchemaKind.REGION and column.strip().upper() in ("ENTITY", "CODE", "YEAR"):
-            continue
-        if kind is SchemaKind.DISASTER_TYPE and column.strip().upper() in ("ENTITY", "YEAR"):
-            continue
-        if null_report.fraction(column) >= threshold:
-            excluded.append(canonical_measure(column))
-    if not excluded:
-        return list(records), excluded
-    drop = set(excluded)
-    kept = []
-    for rec in records:
-        measures = {m: v for m, v in rec.measures.items() if m not in drop}
-        kept.append(dataclasses.replace(rec, measures=measures))
-    return kept, excluded
-
-
-def _normalize_region(records: list[DisasterRecord], codes: IsoCodeTable) -> list[DisasterRecord]:
-    out = []
-    for rec in records:
-        entry = codes.normalize(rec.entity)
-        if entry is None:
-            out.append(rec)
-            continue
-        out.append(
-            dataclasses.replace(
-                rec,
-                entity=entry.canonical,
-                iso=rec.iso or entry.code,
-                aggregate=entry.aggregate,
-            )
-        )
-    return out
-
-
 def build_corpus(
     tables: Iterable[RawTable],
     *,
-    codes: IsoCodeTable | None = None,
     null_threshold: float = DEFAULT_NULL_THRESHOLD,
     on_error: str = "raise",
 ) -> Corpus:
     """Detect, coerce, and merge source tables into a Corpus.
 
-    Columns whose null fraction meets *null_threshold* are dropped and the
-    exclusion recorded per source kind.
+    Region records arrive ISO-normalised from ``coerce_records``.  Measure
+    columns whose null fraction meets *null_threshold* are dropped and the
+    exclusion recorded per source kind; key columns and the anomaly
+    column are never excluded.
     """
-    if codes is None:
-        codes = load_default_codes()
     corpus = Corpus()
     for table in tables:
         kind = detect_schema(table)
         if kind.value in corpus.sources:
             raise DataError(f"duplicate {kind.value} table: {table.source_path}")
         result = coerce_records(table, kind, on_error=on_error)
-        records, excluded = _apply_exclusions(
-            result.records, result.null_report, table, kind, null_threshold
-        )
+        excluded = [
+            measure for column, measure in result.measure_columns.items()
+            if result.null_report.fraction(column) >= null_threshold
+        ]
+        # the measure dicts are fresh from coercion and held by nothing else
+        for rec in result.records:
+            for measure in excluded:
+                rec.measures.pop(measure, None)
         corpus.sources[kind.value] = table.source_path
         corpus.exclusions[kind.value] = excluded
         corpus.null_reports[kind.value] = result.null_report
         if kind is SchemaKind.REGION:
-            corpus.region_records = tuple(_normalize_region(records, codes))
+            corpus.region_records = tuple(result.records)
         elif kind is SchemaKind.DISASTER_TYPE:
-            corpus.type_records = tuple(records)
+            corpus.type_records = tuple(result.records)
         else:
-            corpus.anomaly_records = tuple(records)
+            corpus.anomaly_records = tuple(result.records)
     return corpus
 
 
@@ -423,13 +385,32 @@ def _load_anomaly(table: RawTable) -> tuple[AnomalyRecord, ...]:
     )
 
 
+def _read_manifest(path: Path) -> dict:
+    """The manifest at *path*, its shape checked before any table is read."""
+    if not path.exists():
+        raise ManifestMissingError(str(path))
+    try:
+        manifest = json.loads(path.read_text("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: unreadable manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: manifest is not a JSON object")
+    for key in ("tables", "exclusions", "sources"):
+        if not isinstance(manifest.get(key, {}), dict):
+            raise DataError(f"{path}: manifest {key!r} is not a JSON object")
+    for kind, entry in manifest.get("tables", {}).items():
+        if kind not in _TABLE_NAMES:
+            raise DataError(f"{path}: unknown table kind {kind!r}")
+        if not (isinstance(entry, dict) and all(
+                isinstance(entry.get(key), str) for key in ("file", "sha256"))):
+            raise DataError(f"{path}: table {kind!r} needs a 'file' and a 'sha256'")
+    return manifest
+
+
 def load_corpus(directory: str | Path) -> Corpus:
     """Reload a saved corpus, verifying every table against its digest."""
     directory = Path(directory)
-    manifest_path = directory / _MANIFEST_NAME
-    if not manifest_path.exists():
-        raise ManifestMissingError(str(manifest_path))
-    manifest = json.loads(manifest_path.read_text("utf-8"))
+    manifest = _read_manifest(directory / _MANIFEST_NAME)
     corpus = Corpus(
         exclusions=manifest.get("exclusions", {}),
         sources=manifest.get("sources", {}),

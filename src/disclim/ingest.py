@@ -25,6 +25,7 @@ from .errors import (
     UnparseableNumberError,
     YearOutOfRangeError,
 )
+from .isocodes import NormalizedEntity, load_default_codes
 from .records import (
     YEAR_MAX,
     YEAR_MIN,
@@ -39,7 +40,6 @@ from .records import (
 @dataclass(frozen=True)
 class Dialect:
     delimiter: str = ","
-    quotechar: str = '"'
 
 
 COMMA = Dialect(",")
@@ -96,8 +96,7 @@ class RawTable:
         # which the parser treats as no row at all.
         quoting = csv.QUOTE_ALL if len(self.header) == 1 else csv.QUOTE_MINIMAL
         writer = csv.writer(
-            out, delimiter=dialect.delimiter, quotechar=dialect.quotechar,
-            lineterminator="\n", quoting=quoting,
+            out, delimiter=dialect.delimiter, lineterminator="\n", quoting=quoting
         )
         writer.writerow(self.header)
         writer.writerows(self.rows)
@@ -129,9 +128,7 @@ def parse_delimited(
     else:
         text = data
 
-    reader = csv.reader(
-        io.StringIO(text), delimiter=dialect.delimiter, quotechar=dialect.quotechar
-    )
+    reader = csv.reader(io.StringIO(text), delimiter=dialect.delimiter)
     raw: list[tuple[list[str], int]] = []
     for row in reader:
         raw.append((row, reader.line_num))
@@ -166,6 +163,14 @@ class SchemaKind(enum.Enum):
     ANOMALY = "anomaly"
 
 
+# the key columns (upper-cased) of the two disaster layouts; every other
+# column of those tables is a measure
+_KEY_COLUMNS = {
+    SchemaKind.REGION: frozenset({"ENTITY", "CODE", "YEAR"}),
+    SchemaKind.DISASTER_TYPE: frozenset({"ENTITY", "YEAR"}),
+}
+
+
 def _upper_columns(table: RawTable) -> dict[str, str]:
     return {col.strip().upper(): col for col in table.header}
 
@@ -174,23 +179,15 @@ def _anomaly_columns(columns: dict[str, str]) -> list[str]:
     return [c for c in columns if "ANOMALY" in c]
 
 
-def _match_schema(kind: SchemaKind, columns: dict[str, str]) -> set[str] | None:
+def _match_schema(kind: SchemaKind, columns: dict[str, str]) -> frozenset[str] | None:
     """Return the set of (upper-cased) required columns if *kind* matches."""
     names = set(columns)
-    if kind is SchemaKind.REGION:
-        required = {"ENTITY", "CODE", "YEAR"}
-        if required <= names and names - required:
-            return required
-    elif kind is SchemaKind.DISASTER_TYPE:
-        required = {"ENTITY", "YEAR"}
-        if required <= names and names - required:
-            return required
-    elif kind is SchemaKind.ANOMALY:
+    if kind is SchemaKind.ANOMALY:
         year = next((c for c in _YEAR_COLUMNS if c in names), None)
         anomaly = _anomaly_columns(columns)
-        if year is not None and anomaly:
-            return {year, anomaly[0]}
-    return None
+        return frozenset({year, anomaly[0]}) if year is not None and anomaly else None
+    required = _KEY_COLUMNS[kind]
+    return required if required <= names and names - required else None
 
 
 def detect_schema(table: RawTable) -> SchemaKind:
@@ -260,12 +257,21 @@ class CoercionResult:
     records: list = field(default_factory=list)
     null_report: NullReport = None  # type: ignore[assignment]
     errors: list[RowError] = field(default_factory=list)
+    # raw measure column -> canonical measure; empty for anomaly tables
+    measure_columns: dict[str, str] = field(default_factory=dict)
 
 
 def coerce_records(
     table: RawTable, kind: SchemaKind, on_error: str = "raise"
 ) -> CoercionResult:
     """Turn string rows into typed records with an explicit null census.
+
+    Region records come out ISO-normalised: each distinct entity name is
+    looked up once in the bundled code table, and a recognised name takes
+    its canonical spelling, its code (unless the row has one) and its
+    aggregate flag; an unrecognised name passes through unchanged.  Every
+    non-key column of a disaster table is a measure, listed in
+    ``result.measure_columns``.
 
     ``on_error="raise"`` aborts on the first bad row; ``"collect"`` keeps
     going and files each failure as a RowError so that
@@ -285,10 +291,11 @@ def coerce_records(
         extractor = _coerce_anomaly_row(
             columns[year_col], columns[anomaly_col], year_idx, anomaly_idx
         )
-    elif kind is SchemaKind.REGION:
-        extractor = _coerce_region_row(table, columns)
     else:
-        extractor = _coerce_type_row(table, columns)
+        layout = _measure_layout(table, columns, skip=_KEY_COLUMNS[kind])
+        result.measure_columns = {column: measure for column, _, measure in layout}
+        make = _coerce_region_row if kind is SchemaKind.REGION else _coerce_type_row
+        extractor = make(table, columns, layout)
 
     for i, cells in enumerate(table.rows, start=1):
         try:
@@ -327,7 +334,7 @@ def _coerce_anomaly_row(year_col, anomaly_col, year_idx, anomaly_idx):
     return inner
 
 
-def _measure_layout(table: RawTable, columns: dict[str, str], skip: set[str]):
+def _measure_layout(table: RawTable, columns: dict[str, str], skip: frozenset[str]):
     """(column name, index, canonical measure) for each non-key column."""
     layout = []
     for upper, original in columns.items():
@@ -348,11 +355,12 @@ def _collect_measures(layout, row, cells, null_counts) -> dict[str, float | None
     return measures
 
 
-def _coerce_region_row(table: RawTable, columns: dict[str, str]):
+def _coerce_region_row(table: RawTable, columns: dict[str, str], layout):
     entity_idx = table.column_index(columns["ENTITY"])
     code_idx = table.column_index(columns["CODE"])
     year_idx = table.column_index(columns["YEAR"])
-    layout = _measure_layout(table, columns, skip={"ENTITY", "CODE", "YEAR"})
+    codes = load_default_codes()
+    resolved: dict[str, NormalizedEntity | None] = {}
 
     def inner(row, cells, null_counts):
         entity = cells[entity_idx].strip()
@@ -363,15 +371,22 @@ def _coerce_region_row(table: RawTable, columns: dict[str, str]):
         if code is not None and code.lower() in NULL_TOKENS:
             code = None
         measures = _collect_measures(layout, row, cells, null_counts)
-        return DisasterRecord(entity=entity, iso=code, year=year, measures=measures)
+        if entity not in resolved:
+            resolved[entity] = codes.normalize(entity)
+        entry = resolved[entity]
+        if entry is None:
+            return DisasterRecord(entity=entity, iso=code, year=year, measures=measures)
+        return DisasterRecord(
+            entity=entry.canonical, iso=code or entry.code, year=year,
+            measures=measures, aggregate=entry.aggregate,
+        )
 
     return inner
 
 
-def _coerce_type_row(table: RawTable, columns: dict[str, str]):
+def _coerce_type_row(table: RawTable, columns: dict[str, str], layout):
     entity_idx = table.column_index(columns["ENTITY"])
     year_idx = table.column_index(columns["YEAR"])
-    layout = _measure_layout(table, columns, skip={"ENTITY", "YEAR"})
 
     def inner(row, cells, null_counts):
         name = cells[entity_idx].strip()

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -64,6 +65,45 @@ class TestCorr:
         monkeypatch.setenv(CORPUS_ENV, str(tmp_path / "nowhere"))
         assert main(["corr", "--corpus", str(bundled_dir), "--out", str(tmp_path)]) == 0
 
+    def test_out_naming_a_file_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        assert main(["corr", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("disclim: cannot write ") and str(out) in err
+        assert out.read_text() == "not a directory"
+        assert not list(tmp_path.glob("*.tmp"))
+
+
+def _without(key):
+    def edit(manifest):
+        del manifest["tables"]["anomaly"][key]
+        return manifest
+    return edit
+
+
+# each edit maps the saved manifest to its replacement: raw bytes or new JSON
+@pytest.mark.parametrize("edit", [
+    lambda m: b"{not json",
+    lambda m: b"\xff\xfe",
+    lambda m: [],
+    lambda m: {**m, "tables": ["anomaly"]},
+    lambda m: {**m, "tables": {**m["tables"], "bogus": m["tables"]["anomaly"]}},
+    lambda m: {**m, "tables": {**m["tables"], "anomaly": "anomaly.table"}},
+    _without("sha256"),
+    _without("file"),
+], ids=["invalid-json", "not-utf8", "not-an-object", "tables-not-an-object",
+        "unknown-kind", "entry-not-an-object", "missing-sha256", "missing-file"])
+def test_malformed_manifest_is_data_error(bundled_dir, tmp_path, capsys, edit):
+    corpus_dir = shutil.copytree(bundled_dir, tmp_path / "corpus")
+    manifest_path = corpus_dir / "manifest.json"
+    edited = edit(json.loads(manifest_path.read_text()))
+    manifest_path.write_bytes(edited if isinstance(edited, bytes) else json.dumps(edited).encode())
+    assert main(["corr", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("disclim: ") and "manifest.json" in err[0]
+
 
 class TestIngest:
     def test_fixtures_to_corpus(self, tmp_path, capsys):
@@ -104,6 +144,15 @@ class TestIngest:
         assert main(["ingest", "--anomaly", str(bad),
                      "--corpus", str(tmp_path / "corpus")]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_mostly_null_anomaly_column_is_not_excluded(self, tmp_path):
+        source = tmp_path / "anomaly.csv"
+        source.write_text("YEAR,TEMPERATURE_ANOMALY\n1990,0.2\n1991,NA\n1992,\n1993,0.4\n")
+        corpus_dir = tmp_path / "corpus"
+        assert main(["ingest", "--anomaly", str(source), "--corpus", str(corpus_dir)]) == 0
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        assert manifest["exclusions"]["anomaly"] == []
+        assert manifest["tables"]["anomaly"]["rows"] == 2
 
     def test_bad_null_threshold(self, tmp_path):
         assert main(["ingest", "--anomaly", str(FIXTURES / "anomaly_sample.csv"),
@@ -168,6 +217,11 @@ class TestChart:
         assert main(["chart", "--kind", "timeseries", "--series", "Flood",
                      "--out", str(tmp_path)]) == 1
         assert "selector" in capsys.readouterr().err
+        assert main(["chart", "--kind", "timeseries", "--series", "Nowhere/count",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "disclim: unknown entity or disaster type 'Nowhere'\n"
+        )
 
     def test_stackedarea(self, tmp_path):
         assert main(["chart", "--kind", "stackedarea", "--out", str(tmp_path)]) == 0
@@ -192,6 +246,9 @@ class TestChart:
         assert main(["chart", "--kind", "choropleth", "--year", "1881",
                      "--out", str(tmp_path)]) == 2
         assert "1881" in capsys.readouterr().err
+        assert main(["chart", "--kind", "choropleth", "--year", "0",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "disclim: no 'deaths' values for year 0\n"
 
     def test_heatmap_kind(self, tmp_path):
         assert main(["chart", "--kind", "heatmap", "--out", str(tmp_path)]) == 0

@@ -179,6 +179,34 @@ class TestCoerceRegion:
         assert result.null_report.null_counts["DEATHS"] == 2
         assert result.null_report.fraction("AFFECTED") == 0.5
 
+    def test_names_resolved_once_against_iso_table(self, monkeypatch):
+        from disclim import isocodes
+
+        lookups = []
+        normalize = isocodes.IsoCodeTable.normalize
+        monkeypatch.setattr(isocodes.IsoCodeTable, "normalize",
+                            lambda self, name: lookups.append(name) or normalize(self, name))
+        table = parse_delimited(
+            "ENTITY,CODE,YEAR,DEATHS\n"
+            "Czech Republic,,2001,5\nCzech Republic,,2002,6\n"
+            "World,,2001,7\nRussia,SUN,1989,5\nAtlantis,ATL,2003,1\n"
+        )
+        result = coerce_records(table, SchemaKind.REGION)
+        assert [(r.entity, r.iso, r.aggregate) for r in result.records] == [
+            ("Czechia", "CZE", False), ("Czechia", "CZE", False),
+            ("World", None, True), ("Russia", "SUN", False), ("Atlantis", "ATL", False),
+        ]
+        assert sorted(lookups) == ["Atlantis", "Czech Republic", "Russia", "World"]
+
+    def test_measure_layout_reported(self, region_table, anomaly_table):
+        assert coerce_records(region_table, SchemaKind.REGION).measure_columns == {
+            "DEATHS": "deaths",
+            "DEATH_RATE": "death_rate",
+            "PERCENTAGE_SHARE_DEATHS": "percentage_share_deaths",
+            "INTERNALLY_DISPLACED_POPULATION": "internally_displaced",
+        }
+        assert coerce_records(anomaly_table, SchemaKind.ANOMALY).measure_columns == {}
+
     def test_empty_code_becomes_none(self):
         table = parse_delimited("ENTITY,CODE,YEAR,DEATHS\nWorld,,2001,5\n")
         assert coerce_records(table, SchemaKind.REGION).records[0].iso is None
