@@ -2,16 +2,16 @@
 
 A corpus bundles the three coerced sources (per-region disasters, per-type
 disasters, temperature anomaly), applies the null-exclusion policy to their
-measure columns, and offers year-keyed views.  Persistence writes one
-delimited table per source plus a manifest with content digests, so a
-reload is byte-verifiable.
+measure columns, and offers year-keyed views.  Persistence writes one csv
+table per source plus a manifest with content digests; a reload verifies
+the digests and validates every cell.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -239,12 +239,7 @@ def build_corpus(
         corpus.sources[kind.value] = table.source_path
         corpus.exclusions[kind.value] = excluded
         corpus.null_reports[kind.value] = result.null_report
-        if kind is SchemaKind.REGION:
-            corpus.region_records = tuple(result.records)
-        elif kind is SchemaKind.DISASTER_TYPE:
-            corpus.type_records = tuple(result.records)
-        else:
-            corpus.anomaly_records = tuple(result.records)
+        setattr(corpus, _STORED[kind].field, tuple(result.records))
     return corpus
 
 
@@ -279,7 +274,7 @@ def check_aggregate_consistency(corpus: Corpus, measure: str, tol: float = 1e-9)
 # -- persistence -------------------------------------------------------------
 
 _MANIFEST_NAME = "manifest.json"
-_TABLE_NAMES = {"region": "region.table", "disaster-type": "type.table", "anomaly": "anomaly.table"}
+_FLAGS = {"true": True, "false": False}
 
 
 def _measure_columns(records) -> list[str]:
@@ -287,59 +282,79 @@ def _measure_columns(records) -> list[str]:
     return sorted(seen, key=lambda m: (MEASURES.index(m) if m in MEASURES else 99, m))
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def _flag(cell: str) -> bool:
+    if cell not in _FLAGS:
+        raise ValueError(f"aggregate {cell!r} is neither 'true' nor 'false'")
+    return _FLAGS[cell]
 
 
-def _region_lines(records: Sequence[DisasterRecord]) -> str:
-    measures = _measure_columns(records)
-    lines = [",".join(["entity", "iso", "year", "aggregate"] + measures)]
-    for rec in records:
-        cells = [rec.entity, rec.iso or "", str(rec.year), "true" if rec.aggregate else "false"]
-        cells += [_fmt(rec.measures.get(m)) for m in measures]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _disaster_type(cell: str) -> DisasterType:
+    dtype = parse_disaster_type(cell)
+    if dtype is None:
+        raise ValueError(f"unknown disaster type {cell!r}")
+    return dtype
 
 
-def _type_lines(records: Sequence[TypeRecord]) -> str:
-    measures = _measure_columns(records)
-    lines = [",".join(["disaster_type", "year"] + measures)]
-    for rec in records:
-        cells = [rec.disaster_type.display, str(rec.year)]
-        cells += [_fmt(rec.measures.get(m)) for m in measures]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+@dataclass(frozen=True)
+class _Stored:
+    """The stored layout of one record kind: key columns, then any measures."""
+
+    file: str
+    field: str  # the Corpus attribute holding the records
+    keys: tuple[str, ...]
+    measured: bool  # whether measure columns follow the keys
+    cells: Callable  # record -> key cells, raw values for the csv writer
+    record: Callable  # (row cells, measure map) -> record; ValueError on a bad cell
 
 
-def _anomaly_lines(records: Sequence[AnomalyRecord]) -> str:
-    lines = ["year,month,anomaly"]
-    for rec in records:
-        lines.append(f"{rec.year},{'' if rec.month is None else rec.month},{repr(rec.anomaly)}")
-    return "\n".join(lines) + "\n"
+_STORED = {
+    SchemaKind.REGION: _Stored(
+        "region.table", "region_records", ("entity", "iso", "year", "aggregate"), True,
+        lambda r: [r.entity, r.iso, r.year, "true" if r.aggregate else "false"],
+        lambda c, m: DisasterRecord(entity=c[0], iso=c[1] or None, year=int(c[2]),
+                                    measures=m, aggregate=_flag(c[3])),
+    ),
+    SchemaKind.DISASTER_TYPE: _Stored(
+        "type.table", "type_records", ("disaster_type", "year"), True,
+        lambda r: [r.disaster_type.display, r.year],
+        lambda c, m: TypeRecord(disaster_type=_disaster_type(c[0]), year=int(c[1]), measures=m),
+    ),
+    SchemaKind.ANOMALY: _Stored(
+        "anomaly.table", "anomaly_records", ("year", "month", "anomaly"), False,
+        lambda r: [r.year, r.month, r.anomaly],
+        lambda c, m: AnomalyRecord(year=int(c[0]), anomaly=float(c[2]),
+                                   month=int(c[1]) if c[1] else None),
+    ),
+}
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> Path:
-    """Write the corpus tables plus a digest manifest; returns the directory."""
+    """Write one table per non-empty record kind plus a digest manifest.
+
+    Each table is csv: the key columns, then (for the disaster tables) the
+    measure columns in presentation order.  A null is an empty cell, a
+    float its ``repr``, and a cell holding a comma, quote or newline is
+    quoted.  Returns the directory.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    renderers = {
-        "region": (corpus.region_records, _region_lines),
-        "disaster-type": (corpus.type_records, _type_lines),
-        "anomaly": (corpus.anomaly_records, _anomaly_lines),
-    }
     manifest: dict = {
         "tables": {},
         "exclusions": corpus.exclusions,
         "sources": corpus.sources,
     }
-    for kind, (records, render) in renderers.items():
+    for kind, stored in _STORED.items():
+        records = getattr(corpus, stored.field)
         if not records:
             continue
-        name = _TABLE_NAMES[kind]
-        payload = render(records).encode("utf-8")
-        (directory / name).write_bytes(payload)
-        manifest["tables"][kind] = {
-            "file": name,
+        measures = _measure_columns(records) if stored.measured else []
+        # a generator, so that each row is freed once written and a save
+        # triggers no garbage collection
+        rows = (stored.cells(rec) + [rec.measures.get(m) for m in measures] for rec in records)
+        payload = RawTable(stored.keys + tuple(measures), rows).serialize().encode("utf-8")
+        (directory / stored.file).write_bytes(payload)
+        manifest["tables"][kind.value] = {
+            "file": stored.file,
             "rows": len(records),
             "sha256": hashlib.sha256(payload).hexdigest(),
         }
@@ -349,40 +364,22 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> Path:
     return directory
 
 
-def _load_region(table: RawTable) -> tuple[DisasterRecord, ...]:
-    measures = table.header[4:]
+def _read_table(stored: _Stored, path: Path, payload: bytes) -> tuple:
+    """The records of one stored table; any fault is a DataError naming *path*."""
+    table = parse_delimited(payload, source_path=str(path))
+    width = len(stored.keys)
+    if table.header[:width] != stored.keys or (len(table.header) > width and not stored.measured):
+        expected = ",".join(stored.keys) + (",<measures>" if stored.measured else "")
+        raise DataError(f"{path}: expected columns {expected}, got {','.join(table.header)}")
+    measures = table.header[width:]
     records = []
-    for row in table.rows:
-        measure_map = {m: (float(c) if c else None) for m, c in zip(measures, row[4:])}
-        records.append(
-            DisasterRecord(
-                entity=row[0],
-                iso=row[1] or None,
-                year=int(row[2]),
-                measures=measure_map,
-                aggregate=row[3] == "true",
-            )
-        )
+    try:
+        for n, row in enumerate(table.rows, start=1):
+            measure_map = {m: (float(c) if c else None) for m, c in zip(measures, row[width:])}
+            records.append(stored.record(row, measure_map))
+    except (ValueError, DataError) as exc:
+        raise DataError(f"{path}: row {n}: {exc}") from None
     return tuple(records)
-
-
-def _load_type(table: RawTable) -> tuple[TypeRecord, ...]:
-    measures = table.header[2:]
-    records = []
-    for row in table.rows:
-        dtype = parse_disaster_type(row[0])
-        if dtype is None:
-            raise DataError(f"{table.source_path}: unknown disaster type {row[0]!r}")
-        measure_map = {m: (float(c) if c else None) for m, c in zip(measures, row[2:])}
-        records.append(TypeRecord(disaster_type=dtype, year=int(row[1]), measures=measure_map))
-    return tuple(records)
-
-
-def _load_anomaly(table: RawTable) -> tuple[AnomalyRecord, ...]:
-    return tuple(
-        AnomalyRecord(year=int(r[0]), anomaly=float(r[2]), month=int(r[1]) if r[1] else None)
-        for r in table.rows
-    )
 
 
 def _read_manifest(path: Path) -> dict:
@@ -399,7 +396,7 @@ def _read_manifest(path: Path) -> dict:
         if not isinstance(manifest.get(key, {}), dict):
             raise DataError(f"{path}: manifest {key!r} is not a JSON object")
     for kind, entry in manifest.get("tables", {}).items():
-        if kind not in _TABLE_NAMES:
+        if kind not in {k.value for k in _STORED}:
             raise DataError(f"{path}: unknown table kind {kind!r}")
         if not (isinstance(entry, dict) and all(
                 isinstance(entry.get(key), str) for key in ("file", "sha256"))):
@@ -408,14 +405,18 @@ def _read_manifest(path: Path) -> dict:
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    """Reload a saved corpus, verifying every table against its digest."""
+    """Reload a saved corpus: it reproduces the saved records exactly or raises.
+
+    Every listed table is checked against its digest, then its header and
+    every cell are validated; a fault raises DataError naming the file and,
+    for a bad cell, the row.
+    """
     directory = Path(directory)
     manifest = _read_manifest(directory / _MANIFEST_NAME)
     corpus = Corpus(
         exclusions=manifest.get("exclusions", {}),
         sources=manifest.get("sources", {}),
     )
-    loaders = {"region": _load_region, "disaster-type": _load_type, "anomaly": _load_anomaly}
     for kind, entry in manifest.get("tables", {}).items():
         path = directory / entry["file"]
         if not path.exists():
@@ -424,14 +425,8 @@ def load_corpus(directory: str | Path) -> Corpus:
         digest = hashlib.sha256(payload).hexdigest()
         if digest != entry["sha256"]:
             raise DigestMismatchError(f"{path}: expected {entry['sha256']}, got {digest}")
-        table = parse_delimited(payload, source_path=str(path))
-        records = loaders[kind](table)
-        if kind == "region":
-            corpus.region_records = records
-        elif kind == "disaster-type":
-            corpus.type_records = records
-        else:
-            corpus.anomaly_records = records
+        stored = _STORED[SchemaKind(kind)]
+        setattr(corpus, stored.field, _read_table(stored, path, payload))
     return corpus
 
 

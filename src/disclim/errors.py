@@ -26,12 +26,14 @@ class RaggedRowError(ParseError):
     included.
     """
 
-    def __init__(self, line_number: int, expected: int, got: int):
+    def __init__(self, line_number: int, expected: int, got: int,
+                 source_path: str = "<memory>"):
         self.line_number = line_number
         self.expected = expected
         self.got = got
+        self.source_path = source_path
         super().__init__(
-            f"line {line_number}: expected {expected} cells, got {got}"
+            f"{source_path}: line {line_number}: expected {expected} cells, got {got}"
         )
 
 
@@ -40,9 +42,10 @@ class EmptyInputError(ParseError):
 
 
 class DuplicateHeaderError(ParseError):
-    def __init__(self, name: str):
+    def __init__(self, name: str, source_path: str = "<memory>"):
         self.name = name
-        super().__init__(f"duplicate column name: {name!r}")
+        self.source_path = source_path
+        super().__init__(f"{source_path}: duplicate column name: {name!r}")
 
 
 class SchemaError(DataError):

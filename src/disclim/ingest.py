@@ -90,7 +90,11 @@ class RawTable:
     source_path: str = "<memory>"
 
     def serialize(self, dialect: Dialect = COMMA) -> str:
-        """Render back to delimited text; cell content round-trips exactly."""
+        """Render back to delimited text; cell content round-trips exactly.
+
+        Cells may also be raw values: ``None`` renders as an empty cell and
+        a number as its ``repr``.
+        """
         out = io.StringIO()
         # A single empty cell would otherwise serialize to a blank line,
         # which the parser treats as no row at all.
@@ -144,13 +148,13 @@ def parse_delimited(
     seen: set[str] = set()
     for name in header:
         if name in seen:
-            raise DuplicateHeaderError(name)
+            raise DuplicateHeaderError(name, source_path)
         seen.add(name)
 
     rows: list[tuple[str, ...]] = []
     for cells, line_num in raw[1:]:
         if len(cells) != len(header):
-            raise RaggedRowError(line_num, len(header), len(cells))
+            raise RaggedRowError(line_num, len(header), len(cells), source_path)
         rows.append(tuple(cells))
     return RawTable(header=header, rows=tuple(rows), source_path=source_path)
 

@@ -9,6 +9,7 @@ exclude them from per-country views.
 from __future__ import annotations
 
 import csv
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -62,10 +63,6 @@ class IsoCodeTable:
             return entry
         return self._by_code.get(name.strip().upper())
 
-    def code_for(self, name: str) -> str | None:
-        entry = self.normalize(name)
-        return entry.code if entry else None
-
     def countries(self) -> list[NormalizedEntity]:
         """All non-aggregate entries, sorted by canonical name."""
         seen = sorted(
@@ -102,7 +99,9 @@ def parse_code_table(text: str) -> IsoCodeTable:
     return IsoCodeTable(entries, aliases)
 
 
+@functools.cache
 def load_default_codes() -> IsoCodeTable:
+    """The bundled table, parsed once per process and shared by every caller."""
     text = (
         resources.files("disclim.data").joinpath("country_codes.csv").read_text("utf-8")
     )

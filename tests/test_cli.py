@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -105,6 +106,51 @@ def test_malformed_manifest_is_data_error(bundled_dir, tmp_path, capsys, edit):
     assert err[0].startswith("disclim: ") and "manifest.json" in err[0]
 
 
+def _cell(row, column, value):
+    """An edit that sets one cell of a stored table; row 0 is the header."""
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[column] = value
+        return lines[:row] + [",".join(cells)] + lines[row + 1:]
+    return edit
+
+
+# each case: the table edited, the edit (lines -> lines), and where the
+# message must point, when the fault has a row or line
+@pytest.mark.parametrize("file, edit, where", [
+    ("region.table", _cell(3, 2, "19x0"), "row 3"),
+    ("type.table", _cell(3, 2, "abc"), "row 3"),
+    ("type.table", _cell(3, 2, "nan"), "row 3"),
+    ("region.table", _cell(3, 4, "-1.0"), "row 3"),
+    ("region.table", _cell(3, 3, "maybe"), "row 3"),
+    ("type.table", _cell(3, 0, "Meteor strike"), "row 3"),
+    ("anomaly.table", _cell(3, 1, "13"), "row 3"),
+    ("anomaly.table", _cell(3, 2, "warm"), "row 3"),
+    ("region.table", _cell(0, 0, "name"), None),
+    ("anomaly.table", lambda lines: [line.rsplit(",", 1)[0] for line in lines], None),
+    ("region.table", lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:],
+     "line 5"),
+], ids=["year-19x0", "measure-abc", "measure-nan", "negative-measure", "aggregate-maybe",
+        "unknown-disaster-type", "month-13", "anomaly-warm", "renamed-key-column",
+        "anomaly-two-columns", "short-row"])
+def test_stored_table_fault_is_data_error(bundled_dir, tmp_path, capsys, file, edit, where):
+    corpus_dir = shutil.copytree(bundled_dir, tmp_path / "corpus")
+    table = corpus_dir / file
+    payload = ("\n".join(edit(table.read_text().splitlines())) + "\n").encode()
+    table.write_bytes(payload)
+    manifest_path = corpus_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    entry = next(e for e in manifest["tables"].values() if e["file"] == file)
+    entry["sha256"] = hashlib.sha256(payload).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["corr", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("disclim: ") and str(table) in err[0]
+    if where is not None:
+        assert f"{where}:" in err[0]
+
+
 class TestIngest:
     def test_fixtures_to_corpus(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
@@ -143,7 +189,8 @@ class TestIngest:
         bad.write_text("YEAR,TEMPERATURE_ANOMALY\n1990,0.2,extra\n")
         assert main(["ingest", "--anomaly", str(bad),
                      "--corpus", str(tmp_path / "corpus")]) == 2
-        assert "line 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line 2" in err and str(bad) in err
 
     def test_mostly_null_anomaly_column_is_not_excluded(self, tmp_path):
         source = tmp_path / "anomaly.csv"

@@ -274,6 +274,13 @@ class TestPersistence:
         with pytest.raises(ManifestMissingError):
             load_corpus(directory)
 
+    def test_names_with_commas_and_quotes_round_trip(self, tmp_path):
+        name = '"Atlantis, ""Lost"" City"'
+        source = f"Entity,Code,Year,Deaths\n{name},,1990,3\n{name},,1991,\n"
+        corpus = build_corpus([parse_delimited(source, source_path="region.csv")])
+        assert corpus.region_records[0].entity == 'Atlantis, "Lost" City'
+        assert load_corpus(save_corpus(corpus, tmp_path)) == corpus
+
     def test_partial_corpus_round_trip(self, micro_corpus, tmp_path):
         import dataclasses
 
@@ -305,7 +312,10 @@ class TestIsoCodes:
         assert hit.canonical == "United States"
         assert hit.code == "USA"
         assert codes.normalize("USA").canonical == "United States"
-        assert codes.code_for("Czech Republic") == "CZE"
+        assert codes.normalize("Czech Republic").code == "CZE"
+
+    def test_loaded_once_per_process(self):
+        assert load_default_codes() is load_default_codes()
 
     def test_unknown_is_none(self):
         assert load_default_codes().normalize("Atlantis") is None
