@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -149,11 +150,35 @@ class Corpus:
     sources: dict[str, str] = field(default_factory=dict)
     null_reports: dict[str, NullReport] = field(default_factory=dict, compare=False)
 
+    # (region_records tuple, its index); a plain class attribute rather than
+    # a field, so it takes no part in equality or repr
+    _region_index = (None, {})
+
+    def _regions_matching(self, key: str) -> list[DisasterRecord]:
+        """Region records whose casefolded entity or ISO code is *key*, in order.
+
+        The index is built once per ``region_records`` tuple and rebuilt
+        when a different tuple is assigned.
+        """
+        records, index = self._region_index
+        if records is not self.region_records:
+            records, index = self.region_records, {}
+            for rec in records:
+                entity, iso = rec.entity.casefold(), (rec.iso or "").casefold()
+                index.setdefault(entity, []).append(rec)
+                if iso != entity:
+                    index.setdefault(iso, []).append(rec)
+            self._region_index = (records, index)
+        return index.get(key, [])
+
     def build_series(self, selector, measure: str) -> AnnualSeries:
         """Annual totals of *measure* for a disaster type or region entity.
 
-        Null observations are skipped; a year with no defined observation
-        is absent from the result rather than zero.
+        A region selector matches an entity name or ISO code, ignoring case
+        and surrounding space, and is looked up in an index built once per
+        record set; the label is the last matched record's entity.  Null
+        observations are skipped; a year with no defined observation is
+        absent from the result rather than zero.
         """
         if isinstance(selector, str):
             parsed = parse_disaster_type(selector)
@@ -167,18 +192,15 @@ class Corpus:
                     if value is not None:
                         by_year[rec.year] = by_year.get(rec.year, 0.0) + value
         else:
-            wanted = selector.strip().casefold()
             label = selector.strip()
-            matched = False
-            for rec in self.region_records:
-                if rec.entity.casefold() == wanted or (rec.iso or "").casefold() == wanted:
-                    matched = True
-                    label = rec.entity
-                    value = rec.measures.get(measure)
-                    if value is not None:
-                        by_year[rec.year] = by_year.get(rec.year, 0.0) + value
+            matched = self._regions_matching(label.casefold())
             if not matched:
                 raise UnknownSelectorError(f"unknown entity or disaster type {label!r}")
+            for rec in matched:
+                value = rec.measures.get(measure)
+                if value is not None:
+                    by_year[rec.year] = by_year.get(rec.year, 0.0) + value
+            label = matched[-1].entity
         if not by_year:
             known = self._known_measures(selector)
             raise UnknownMeasureError(
@@ -275,6 +297,8 @@ def check_aggregate_consistency(corpus: Corpus, measure: str, tol: float = 1e-9)
 
 _MANIFEST_NAME = "manifest.json"
 _FLAGS = {"true": True, "false": False}
+_NUMBER_KEYS = frozenset({"year", "month", "anomaly"})  # measure columns are numbers too
+_NOT_WRITTEN = re.compile(r"[_\s]")
 
 
 def _measure_columns(records) -> list[str]:
@@ -379,6 +403,15 @@ def _read_table(stored: _Stored, path: Path, payload: bytes) -> tuple:
             records.append(stored.record(row, measure_map))
     except (ValueError, DataError) as exc:
         raise DataError(f"{path}: row {n}: {exc}") from None
+    # int() and float() also take underscores and surrounding whitespace,
+    # which the writer never writes; one scan per numeric column finds them
+    for i, name in enumerate(table.header):
+        if i < width and name not in _NUMBER_KEYS:
+            continue
+        column = [row[i] for row in table.rows]
+        if _NOT_WRITTEN.search(",".join(column)):
+            n, cell = next((n, c) for n, c in enumerate(column, start=1) if _NOT_WRITTEN.search(c))
+            raise DataError(f"{path}: row {n}: malformed number {cell!r} in column {name!r}")
     return tuple(records)
 
 

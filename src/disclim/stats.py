@@ -51,17 +51,30 @@ class SeriesPair:
         return len(self.x)
 
 
+def _present(column: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray]:
+    """A column as float64 values (None as nan) plus its presence mask."""
+    mask = np.fromiter((v is not None for v in column), dtype=bool, count=len(column))
+    return np.array(column, dtype=float), mask
+
+
+def _complete(x, y, minimum: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values of two ``_present`` columns where both are present."""
+    (ax, mx), (ay, my) = x, y
+    both = mx & my
+    n = int(np.count_nonzero(both))
+    if n < minimum:
+        raise TooFewPairsError(n, minimum)
+    return ax[both], ay[both]
+
+
 def pairwise_complete(
     x: Sequence[float | None], y: Sequence[float | None], minimum: int = MIN_PAIRS
 ) -> SeriesPair:
     """Keep exactly the positions where both values are present."""
     if len(x) != len(y):
         raise DataError(f"series length mismatch: {len(x)} vs {len(y)}")
-    kept = [(a, b) for a, b in zip(x, y) if a is not None and b is not None]
-    if len(kept) < minimum:
-        raise TooFewPairsError(len(kept), minimum)
-    xs, ys = zip(*kept)
-    return SeriesPair(x=tuple(float(v) for v in xs), y=tuple(float(v) for v in ys))
+    ax, ay = _complete(_present(x), _present(y), minimum)
+    return SeriesPair(x=tuple(ax.tolist()), y=tuple(ay.tolist()))
 
 
 def _as_checked_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -95,28 +108,26 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return _clamp(float(np.dot(dx, dy)) / denominator)
 
 
+def _average_ranks(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """1-based average ranks of *a*, and whether any value is tied."""
+    n = a.size
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.not_equal(ordered[1:], ordered[:-1]))))
+    ends = np.append(starts[1:], n)
+    ranks = np.empty(n, dtype=float)
+    # a group spanning sorted positions s..e-1 shares rank (s + 1 + e) / 2,
+    # an exact half, so an untied value gets exactly s + 1
+    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
+    return ranks, starts.size < n
+
+
 def rank_average_ties(values: Sequence[float]) -> tuple[float, ...]:
     """1-based ranks; tied values share the mean of the positions they span."""
     a = np.asarray(values, dtype=float)
     if not np.isfinite(a).all():
         raise DataError("non-finite values in input")
-    n = a.size
-    order = np.argsort(a, kind="stable")
-    ranks_sorted = np.arange(1, n + 1, dtype=float)
-    group_starts = np.flatnonzero(np.diff(a[order]) != 0) + 1
-    starts = np.concatenate(([0], group_starts))
-    ends = np.concatenate((group_starts, [n]))
-    for s, e in zip(starts, ends):
-        if e - s > 1:
-            ranks_sorted[s:e] = (s + 1 + e) / 2.0
-    out = np.empty(n, dtype=float)
-    out[order] = ranks_sorted
-    return tuple(out.tolist())
-
-
-def _has_ties(values: Sequence[float]) -> bool:
-    a = np.asarray(values, dtype=float)
-    return np.unique(a).size != a.size
+    return tuple(_average_ranks(a)[0].tolist())
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
@@ -127,11 +138,11 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     agree exactly when no ties exist.
     """
     ax, ay = _as_checked_arrays(x, y)
-    rx = rank_average_ties(ax)
-    ry = rank_average_ties(ay)
-    if not _has_ties(ax) and not _has_ties(ay):
+    rx, x_tied = _average_ranks(ax)
+    ry, y_tied = _average_ranks(ay)
+    if not x_tied and not y_tied:
         n = ax.size
-        d = np.asarray(rx) - np.asarray(ry)
+        d = rx - ry
         return _clamp(1.0 - 6.0 * float(np.dot(d, d)) / (n * (n * n - 1)))
     return pearson(rx, ry)
 
@@ -151,19 +162,39 @@ class PairCensus:
         return self.concordant + self.discordant + self.ties_x + self.ties_y + self.ties_both
 
 
+# (later, earlier) index of every unordered pair among the first N
+# positions, ordered by the later one; any n < N uses a prefix
+_pairs = np.tril_indices(0, -1)
+
+
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    global _pairs
+    m = n * (n - 1) // 2
+    if _pairs[0].size < m:
+        _pairs = np.tril_indices(n, -1)
+    return _pairs[0][:m], _pairs[1][:m]
+
+
 def pair_census(x: Sequence[float], y: Sequence[float]) -> PairCensus:
     """Classify every unordered index pair as concordant, discordant, or tied."""
     ax, ay = _as_checked_arrays(x, y)
-    i, j = np.triu_indices(ax.size, k=1)
-    sx = np.sign(ax[j] - ax[i])
-    sy = np.sign(ay[j] - ay[i])
-    product = sx * sy
+    later, earlier = _pair_indices(ax.size)
+    sx = np.sign(ax[later] - ax[earlier])
+    sy = np.sign(ay[later] - ay[earlier])
+    # signs are -1, 0 or 1, so the dot product and the counts are exact
+    surplus = int(np.dot(sx, sy))
+    x_tie = sx == 0
+    y_tie = sy == 0
+    tied_x = int(np.count_nonzero(x_tie))
+    tied_y = int(np.count_nonzero(y_tie))
+    tied_both = int(np.count_nonzero(x_tie & y_tie))
+    untied = later.size - tied_x - tied_y + tied_both
     return PairCensus(
-        concordant=int(np.count_nonzero(product > 0)),
-        discordant=int(np.count_nonzero(product < 0)),
-        ties_x=int(np.count_nonzero((sx == 0) & (sy != 0))),
-        ties_y=int(np.count_nonzero((sy == 0) & (sx != 0))),
-        ties_both=int(np.count_nonzero((sx == 0) & (sy == 0))),
+        concordant=(untied + surplus) // 2,
+        discordant=(untied - surplus) // 2,
+        ties_x=tied_x - tied_both,
+        ties_y=tied_y - tied_both,
+        ties_both=tied_both,
     )
 
 
@@ -292,7 +323,10 @@ class CorrelationMatrix:
 def correlation_matrix(table: JoinedTable, method: str = "pearson") -> CorrelationMatrix:
     """Coefficient for every unordered column pair after pairwise completion.
 
-    Exactly one estimator call is issued per pair; the (j, i) mirror is
+    Each column becomes a float64 array and a presence mask once per call;
+    a pair is completed by ANDing the two masks, the rule
+    ``pairwise_complete`` uses.  Exactly one estimator call is issued per
+    pair with at least MIN_PAIRS complete values; the (j, i) mirror is
     copied, and the diagonal is set (not computed) to 1 where the column
     has at least MIN_PAIRS defined values and is not constant.
     """
@@ -315,17 +349,18 @@ def correlation_matrix(table: JoinedTable, method: str = "pearson") -> Correlati
         else:
             values[i][i] = 1.0
 
+    present = [_present(column) for column in table.columns]
     for i in range(k):
         for j in range(i + 1, k):
             try:
-                pair = pairwise_complete(table.columns[i], table.columns[j])
+                x, y = _complete(present[i], present[j], MIN_PAIRS)
             except TooFewPairsError as exc:
                 counts[i][j] = counts[j][i] = exc.n
                 reasons[(i, j)] = reasons[(j, i)] = str(exc)
                 continue
-            counts[i][j] = counts[j][i] = pair.n
+            counts[i][j] = counts[j][i] = x.size
             try:
-                r = estimate(pair.x, pair.y)
+                r = estimate(x, y)
             except ZeroVarianceError as exc:
                 reasons[(i, j)] = reasons[(j, i)] = str(exc)
                 continue

@@ -130,9 +130,14 @@ def _cell(row, column, value):
     ("anomaly.table", lambda lines: [line.rsplit(",", 1)[0] for line in lines], None),
     ("region.table", lambda lines: lines[:4] + [lines[4].rsplit(",", 1)[0]] + lines[5:],
      "line 5"),
+    ("type.table", _cell(3, 1, "1_900"), "row 3"),
+    ("region.table", _cell(3, 2, " 1900"), "row 3"),
+    ("type.table", _cell(3, 2, "3_00.0"), "row 3"),
+    ("anomaly.table", _cell(3, 2, "0.5\t"), "row 3"),
 ], ids=["year-19x0", "measure-abc", "measure-nan", "negative-measure", "aggregate-maybe",
         "unknown-disaster-type", "month-13", "anomaly-warm", "renamed-key-column",
-        "anomaly-two-columns", "short-row"])
+        "anomaly-two-columns", "short-row", "year-underscore", "year-leading-space",
+        "measure-underscore", "anomaly-trailing-tab"])
 def test_stored_table_fault_is_data_error(bundled_dir, tmp_path, capsys, file, edit, where):
     corpus_dir = shutil.copytree(bundled_dir, tmp_path / "corpus")
     table = corpus_dir / file

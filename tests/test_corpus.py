@@ -5,6 +5,7 @@ import pytest
 from disclim.corpus import (
     ANOMALY_LABEL,
     AnnualSeries,
+    Corpus,
     align_union,
     annualize_anomaly,
     build_corpus,
@@ -24,7 +25,7 @@ from disclim.errors import (
 )
 from disclim.ingest import parse_delimited
 from disclim.isocodes import load_default_codes, parse_code_table
-from disclim.records import AnomalyRecord, DisasterType
+from disclim.records import AnomalyRecord, DisasterRecord, DisasterType
 
 
 class TestAnnualSeries:
@@ -223,6 +224,84 @@ class TestBuildSeries:
         names = bundled.type_names()
         assert names[-1] == "All natural disasters"
         assert names[:-1] == sorted(names[:-1])
+
+
+def _scanned_series(corpus, selector, measure):
+    """build_series for a region selector by a scan of every record."""
+    wanted = selector.strip().casefold()
+    label, by_year = selector.strip(), {}
+    matched = False
+    for rec in corpus.region_records:
+        if rec.entity.casefold() == wanted or (rec.iso or "").casefold() == wanted:
+            matched, label = True, rec.entity
+            if rec.measures.get(measure) is not None:
+                by_year[rec.year] = by_year.get(rec.year, 0.0) + rec.measures[measure]
+    if not matched:
+        raise UnknownSelectorError(selector)
+    if not by_year:
+        raise UnknownMeasureError(selector)
+    return series_from_mapping(label, by_year)
+
+
+def _outcome(build, selector):
+    try:
+        return build(selector, "deaths")
+    except (UnknownSelectorError, UnknownMeasureError) as exc:
+        return type(exc)
+
+
+def _region(entity, iso, year, deaths):
+    return DisasterRecord(entity=entity, iso=iso, year=year, measures={"deaths": deaths})
+
+
+# sums in record order: 0.1 + 0.2 + 0.3 differs from 0.3 + 0.2 + 0.1 in the last bit
+REGIONS = (
+    _region("France", "FRA", 2000, 0.1),
+    _region("French Republic", "FRA", 2000, 0.2),
+    _region("Atlantis", None, 2000, 5.0),
+    _region("France", "FRA", 2000, 0.3),
+    _region("USA", "USA", 2001, 1.0),
+    _region("Lemuria", None, 2001, None),
+    _region("Lemuria", None, 2002, 2.5),
+    _region("Kenya", "KEN", 2003, None),
+    _region("FRA", None, 2001, 7.0),
+)
+
+
+class TestRegionIndex:
+    def test_every_selector_matches_a_linear_scan(self):
+        corpus = Corpus(region_records=REGIONS)
+        names = {r.entity for r in REGIONS} | {r.iso for r in REGIONS if r.iso}
+        selectors = {""} | {"Nowhere", "  "}
+        for name in names:
+            selectors |= {name, name.lower(), name.upper(), name.swapcase(), f"  {name}\t"}
+        for selector in sorted(selectors):
+            expected = _outcome(lambda s, m: _scanned_series(corpus, s, m), selector)
+            assert _outcome(corpus.build_series, selector) == expected, selector
+        assert corpus.build_series("fra", "deaths").values == (0.1 + 0.2 + 0.3, 7.0)
+        assert corpus.build_series("", "deaths").label == "FRA"
+
+    def test_fixture_names_and_codes_match_a_linear_scan(self, micro_corpus):
+        records = micro_corpus.region_records
+        for selector in {r.entity for r in records} | {r.iso for r in records if r.iso}:
+            for variant in (selector, f" {selector.upper()} "):
+                expected = _outcome(lambda s, m: _scanned_series(micro_corpus, s, m), variant)
+                assert _outcome(micro_corpus.build_series, variant) == expected
+
+    def test_new_records_are_indexed(self):
+        corpus = Corpus(region_records=REGIONS)
+        assert corpus.build_series("Atlantis", "deaths").values == (5.0,)
+        corpus.region_records = (_region("Atlantis", None, 1999, 4.0),)
+        assert corpus.build_series("Atlantis", "deaths").years == (1999,)
+        with pytest.raises(UnknownSelectorError):
+            corpus.build_series("France", "deaths")
+
+    def test_index_is_not_part_of_equality_or_repr(self):
+        used, fresh = Corpus(region_records=REGIONS), Corpus(region_records=REGIONS)
+        before = repr(used)
+        used.build_series("France", "deaths")
+        assert used == fresh
+        assert repr(used) == before == repr(fresh)
 
 
 class TestAggregateConsistency:

@@ -5,8 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from disclim.charts import emit_chart, ramp_position
-from disclim.corpus import AnnualSeries, align_union, integrate_on_year
-from disclim.errors import EmptyIntersectionError, ZeroVarianceError
+from disclim.corpus import AnnualSeries, JoinedTable, align_union, integrate_on_year
+from disclim.errors import EmptyIntersectionError, TooFewPairsError, ZeroVarianceError
 from disclim.ingest import COMMA, TAB, RawTable, parse_delimited
 from disclim.metrics import (
     containment_violations,
@@ -15,6 +15,9 @@ from disclim.metrics import (
     sunburst_deaths_affected,
 )
 from disclim.stats import (
+    MIN_PAIRS,
+    METHODS,
+    correlation_matrix,
     kendall,
     pair_census,
     pairwise_complete,
@@ -150,6 +153,72 @@ class TestPairwiseComplete:
         expected = [(a, b) for a, b in zip(x, y) if a is not None and b is not None]
         pair = pairwise_complete(x, y)
         assert list(zip(pair.x, pair.y)) == expected
+
+
+@st.composite
+def gappy_tables(draw):
+    """Tie-heavy columns with gaps, some constant, some with fewer than 3 values."""
+    n = draw(st.integers(min_value=0, max_value=25))
+    columns = []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        kind = draw(st.sampled_from(["tied", "constant", "sparse"]))
+        value = st.just(draw(tie_values)) if kind == "constant" else tie_values
+        cells = draw(st.lists(st.one_of(st.none(), value.map(float)), min_size=n, max_size=n))
+        if kind == "sparse":
+            defined = [i for i, v in enumerate(cells) if v is not None]
+            for i in defined[draw(st.integers(0, 2)):]:
+                cells[i] = None
+        columns.append(tuple(cells))
+    labels = tuple(f"s{i}" for i in range(len(columns)))
+    return JoinedTable(years=tuple(range(n)), labels=labels, columns=tuple(columns))
+
+
+_ESTIMATORS = {
+    "pearson": pearson,
+    "spearman": spearman,
+    "kendall-tau-a": lambda x, y: kendall(x, y, "tau-a"),
+    "kendall-tau-b": lambda x, y: kendall(x, y, "tau-b"),
+}
+
+
+def _matrix_by_pairs(table, method):
+    """values, counts and reasons from pairwise_complete and the estimator."""
+    k = len(table.columns)
+    values = [[None] * k for _ in range(k)]
+    counts = [[0] * k for _ in range(k)]
+    reasons = {}
+    for i, column in enumerate(table.columns):
+        defined = [v for v in column if v is not None]
+        counts[i][i] = len(defined)
+        if len(defined) < MIN_PAIRS:
+            reasons[(i, i)] = f"only {len(defined)} defined values"
+        elif min(defined) == max(defined):
+            reasons[(i, i)] = "constant series"
+        else:
+            values[i][i] = 1.0
+    for i in range(k):
+        for j in range(i + 1, k):
+            try:
+                pair = pairwise_complete(table.columns[i], table.columns[j])
+                counts[i][j] = counts[j][i] = pair.n
+                values[i][j] = values[j][i] = _ESTIMATORS[method](pair.x, pair.y)
+            except (TooFewPairsError, ZeroVarianceError) as exc:
+                if isinstance(exc, TooFewPairsError):
+                    counts[i][j] = counts[j][i] = exc.n
+                reasons[(i, j)] = reasons[(j, i)] = str(exc)
+    return tuple(map(tuple, values)), tuple(map(tuple, counts)), reasons
+
+
+class TestMatrixExactness:
+    @settings(max_examples=150)
+    @given(gappy_tables())
+    def test_matrix_equals_per_pair_completion(self, table):
+        for method in METHODS:
+            matrix = correlation_matrix(table, method)
+            values, counts, reasons = _matrix_by_pairs(table, method)
+            assert matrix.values == values
+            assert matrix.counts == counts
+            assert matrix.reasons == reasons
 
 
 class TestJoins:

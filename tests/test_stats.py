@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from disclim import stats
 from disclim.corpus import AnnualSeries, JoinedTable, align_union
 from disclim.errors import (
     DataError,
@@ -14,6 +15,7 @@ from disclim.errors import (
 from disclim.stats import (
     METHODS,
     CorrelationMatrix,
+    PairCensus,
     SeriesPair,
     correlation_matrix,
     is_significant,
@@ -191,6 +193,56 @@ class TestCensus:
             assert pair_census(x, y).total == n * (n - 1) // 2
 
 
+def _census_by_loop(x, y) -> PairCensus:
+    counts = dict(concordant=0, discordant=0, ties_x=0, ties_y=0, ties_both=0)
+    for j in range(len(x)):
+        for i in range(j):
+            dx = (x[j] > x[i]) - (x[j] < x[i])
+            dy = (y[j] > y[i]) - (y[j] < y[i])
+            if dx == 0 and dy == 0:
+                counts["ties_both"] += 1
+            elif dx == 0:
+                counts["ties_x"] += 1
+            elif dy == 0:
+                counts["ties_y"] += 1
+            else:
+                counts["concordant" if dx == dy else "discordant"] += 1
+    return PairCensus(**counts)
+
+
+def _ranks_by_loop(values) -> tuple[float, ...]:
+    ranks = []
+    for v in values:
+        below = sum(u < v for u in values)
+        equal = sum(u == v for u in values)
+        ranks.append((2 * below + equal + 1) / 2)
+    return tuple(ranks)
+
+
+class TestAgainstLoops:
+    # n = 2, then sizes past every earlier one and smaller ones after them, so
+    # that the shared pair indices are grown and then reused as a prefix
+    SIZES = (2, 40, 7, 41, 3, 2, 60, 13)
+
+    def test_census_and_ranks_on_tie_heavy_input(self, monkeypatch):
+        monkeypatch.setattr(stats, "_pairs", np.tril_indices(0, -1))
+        rng = np.random.default_rng(23)
+        for n in self.SIZES:
+            for _ in range(5):
+                x = rng.choice([-1.5, -0.0, 0.0, 2.0, 3.0], size=n).tolist()
+                y = rng.integers(0, 3, size=n).astype(float).tolist()
+                assert pair_census(x, y) == _census_by_loop(x, y), n
+                assert rank_average_ties(x) == _ranks_by_loop(x)
+                assert rank_average_ties(y) == _ranks_by_loop(y)
+        assert stats._pairs[0].size == max(self.SIZES) * (max(self.SIZES) - 1) // 2
+
+    def test_constant_and_untied_input(self):
+        assert pair_census([4.0] * 6, [1, 2, 3, 4, 5, 6]) == PairCensus(0, 0, 15, 0, 0)
+        assert rank_average_ties([4.0] * 6) == (3.5,) * 6
+        assert rank_average_ties([0.5, -2.0, 9.0]) == (2.0, 1.0, 3.0)
+        assert rank_average_ties([]) == ()
+
+
 class TestPairwiseComplete:
     def test_drops_positions_with_any_none(self):
         pair = pairwise_complete([1, None, 3, 4], [10, 20, None, 40], minimum=2)
@@ -328,6 +380,17 @@ class TestCorrelationMatrix:
             assert m.method == method
             cell = m.cell("a", "b")
             assert cell is not None and -1.0 <= cell <= 1.0
+
+    def test_non_finite_in_a_completed_pair(self):
+        # JoinedTable does not check its cells; a nan that meets a defined
+        # value in the other column still reaches the estimator's check
+        columns = ((1.0, 2.0, math.nan, 4.0), (2.0, 1.0, 3.0, 5.0), (1.0, 3.0, None, 2.0))
+        table = JoinedTable(years=(1, 2, 3, 4), labels=("a", "b", "c"), columns=columns)
+        for method in METHODS:
+            with pytest.raises(DataError, match="non-finite"):
+                correlation_matrix(table, method)
+        clear = JoinedTable(years=(1, 2, 3, 4), labels=("a", "c"), columns=columns[::2])
+        assert correlation_matrix(clear, "pearson").counts[0][1] == 3
 
     def test_too_few_series(self):
         table = align_union([AnnualSeries("a", (2001, 2002), (1.0, 2.0))])
