@@ -235,24 +235,30 @@ def _hex_to_rgb(color: str) -> tuple[int, int, int]:
     return tuple(int(color[i : i + 2], 16) for i in (1, 3, 5))  # type: ignore[return-value]
 
 
-def _rgb_to_hex(rgb: tuple[float, float, float]) -> str:
-    return "#%02x%02x%02x" % tuple(int(round(c)) for c in rgb)
+def _rgb_to_hex(rgb: tuple[int, int, int]) -> str:
+    return "#%02x%02x%02x" % rgb
 
 
-def _lerp(a: tuple[int, int, int], b: tuple[int, int, int], t: float) -> str:
-    return _rgb_to_hex(tuple(a[i] + (b[i] - a[i]) * t for i in range(3)))
+def _ramp_ends(style: HeatmapStyle) -> tuple[tuple[int, int, int], ...]:
+    """The RGB of the ramp's -1, 0 and +1 colours."""
+    return tuple(_hex_to_rgb(c) for c in (style.negative, style.neutral, style.positive))
+
+
+def _ramp_rgb(value: float, ends: tuple[tuple[int, int, int], ...]) -> tuple[int, int, int]:
+    """The rounded fill RGB for a coefficient: linear in each half of the ramp."""
+    ramp_position(value)  # bounds check
+    negative, neutral, positive = ends
+    a, b, t = (negative, neutral, value + 1.0) if value < 0 else (neutral, positive, value)
+    return tuple(int(round(a[i] + (b[i] - a[i]) * t)) for i in range(3))  # type: ignore[return-value]
 
 
 def ramp_color(value: float, style: HeatmapStyle = HeatmapStyle()) -> str:
     """Interpolated fill for a coefficient: linear in each half of the ramp."""
-    ramp_position(value)  # bounds check
-    if value < 0:
-        return _lerp(_hex_to_rgb(style.negative), _hex_to_rgb(style.neutral), value + 1.0)
-    return _lerp(_hex_to_rgb(style.neutral), _hex_to_rgb(style.positive), value)
+    return _rgb_to_hex(_ramp_rgb(value, _ramp_ends(style)))
 
 
-def _luminance(color: str) -> float:
-    r, g, b = _hex_to_rgb(color)
+def _luminance(rgb: tuple[int, int, int]) -> float:
+    r, g, b = rgb
     return 0.2126 * r + 0.7152 * g + 0.0722 * b
 
 
@@ -262,6 +268,7 @@ def render_heatmap_svg(matrix: CorrelationMatrix, style: HeatmapStyle = HeatmapS
         raise EmptyMatrixError("matrix has no series")
     k = matrix.size
     cell = style.cell_size
+    ends = _ramp_ends(style)
     left, top = 190, 150
     legend_w, pad = 60, 20
     width = left + k * cell + legend_w + pad
@@ -312,8 +319,9 @@ def render_heatmap_svg(matrix: CorrelationMatrix, style: HeatmapStyle = HeatmapS
                     f'fill="url(#undef)" stroke="#ffffff"/>'
                 )
                 continue
-            fill = ramp_color(value, style)
-            text_fill = "#111111" if _luminance(fill) > 140 else "#ffffff"
+            rgb = _ramp_rgb(value, ends)
+            fill = _rgb_to_hex(rgb)
+            text_fill = "#111111" if _luminance(rgb) > 140 else "#ffffff"
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
                 f'fill="{fill}" stroke="#ffffff"/>'

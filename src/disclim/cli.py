@@ -26,8 +26,8 @@ from .corpus import (
     save_corpus,
 )
 from .errors import AnalysisError, DataError
-from .ingest import COMMA, TAB, parse_delimited
-from .records import DisasterType
+from .ingest import COMMA, TAB, SchemaKind, parse_delimited
+from .records import DisasterType, parse_disaster_type
 
 CORPUS_ENV = "DISCLIM_CORPUS_DIR"
 
@@ -129,11 +129,51 @@ def _write_atomic(path: Path, payload: bytes) -> None:
         raise DataError(f"cannot write {path}: {exc}") from None
 
 
-def _resolve_corpus(config: RunConfig) -> Corpus:
+def _parse_selector(selector: str) -> tuple[str, str] | None:
+    """The (entity-or-type, measure) a series selector names; None for 'anomaly'."""
+    if selector.strip().lower() == "anomaly":
+        return None
+    target, sep, measure = selector.rpartition("/")
+    if not sep:
+        raise UsageError(
+            f"series selector {selector!r} must be 'anomaly' or '<entity-or-type>/<measure>'"
+        )
+    return target, _AGAINST.get(measure, measure)
+
+
+def _reads_regions(args) -> bool:
+    """Whether a command on the bundled corpus reads region records.
+
+    ``report`` and the choropleth always do.  A timeseries or dualaxis
+    selector does when it names neither the anomaly nor a disaster type,
+    the test ``Corpus.build_series`` applies; a malformed one raises
+    UsageError here.  ``corr`` and the other charts never do.
+    """
+    if args.command != "chart":
+        return args.command == "report"
+    kind = charts.parse_chart_kind(args.kind)
+    if kind is charts.ChartKind.TIME_SERIES:
+        selectors = args.series or []
+    elif kind is charts.ChartKind.DUAL_AXIS:
+        selectors = [s for s in (args.left, args.right) if s]
+    else:
+        return kind is charts.ChartKind.CHOROPLETH
+    parsed = [p for p in map(_parse_selector, selectors) if p is not None]
+    return any(parse_disaster_type(target) is None for target, _ in parsed)
+
+
+def _resolve_corpus(config: RunConfig, args) -> Corpus:
+    """The --corpus directory, fully validated, or else the bundled corpus.
+
+    From the bundled data only the tables the command reads are built; a
+    corpus directory always has every listed table checked.
+    """
     directory = config.corpus or os.environ.get(CORPUS_ENV)
     if directory:
         return load_corpus(directory)
-    return load_bundled_corpus()
+    if _reads_regions(args):
+        return load_bundled_corpus()
+    return load_bundled_corpus([SchemaKind.DISASTER_TYPE, SchemaKind.ANOMALY])
 
 
 def _parse_source(path: str, tab: bool):
@@ -146,15 +186,10 @@ def _parse_source(path: str, tab: bool):
 
 def _series_for(corpus: Corpus, selector: str):
     """Resolve 'anomaly' or an 'entity-or-type/measure' path to a series."""
-    if selector.strip().lower() == "anomaly":
+    parsed = _parse_selector(selector)
+    if parsed is None:
         return corpus.anomaly_series()
-    target, sep, measure = selector.rpartition("/")
-    if not sep:
-        raise UsageError(
-            f"series selector {selector!r} must be 'anomaly' or '<entity-or-type>/<measure>'"
-        )
-    measure = _AGAINST.get(measure, measure)
-    return corpus.build_series(target, measure)
+    return corpus.build_series(*parsed)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -186,7 +221,7 @@ def _matrix_for(corpus: Corpus, method: str, against: str) -> stats.CorrelationM
 
 def _cmd_corr(args) -> int:
     config = _resolve_config(args)
-    corpus = _resolve_corpus(config)
+    corpus = _resolve_corpus(config, args)
     method = stats.normalize_method(config.method)
     matrix = _matrix_for(corpus, method, config.against)
     out = Path(config.out)
@@ -261,7 +296,7 @@ def _build_chart(corpus: Corpus, args, config: RunConfig) -> charts.ChartDocumen
 
 def _cmd_chart(args) -> int:
     config = _resolve_config(args)
-    corpus = _resolve_corpus(config)
+    corpus = _resolve_corpus(config, args)
     doc = _build_chart(corpus, args, config)
     path = Path(config.out) / f"{doc.kind.value}.chart"
     _write_atomic(path, doc.to_bytes())
@@ -271,7 +306,7 @@ def _cmd_chart(args) -> int:
 
 def _cmd_report(args) -> int:
     config = _resolve_config(args)
-    corpus = _resolve_corpus(config)
+    corpus = _resolve_corpus(config, args)
     out = Path(config.out)
     written: list[str] = []
     summary: dict = {"significance_threshold": config.significance, "matrices": {}}

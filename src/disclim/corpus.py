@@ -463,14 +463,27 @@ def load_corpus(directory: str | Path) -> Corpus:
     return corpus
 
 
-def load_bundled_corpus() -> Corpus:
-    """Build the corpus from the data files shipped inside the package."""
+_BUNDLED = {
+    SchemaKind.REGION: "disasters_by_region.csv",
+    SchemaKind.DISASTER_TYPE: "disasters_by_type.csv",
+    SchemaKind.ANOMALY: "temperature_anomaly_monthly.csv",
+}
+
+
+def load_bundled_corpus(kinds: Iterable[SchemaKind] = tuple(SchemaKind)) -> Corpus:
+    """Build the corpus from the data files shipped inside the package.
+
+    Only the tables of *kinds* (by default all three) are read and built;
+    the records of any other kind stay empty, and it has no entry in
+    ``sources``, ``exclusions`` or ``null_reports``.  The region table is
+    by far the largest, so a caller that never reads region records can
+    leave ``SchemaKind.REGION`` out.
+    """
     from importlib import resources
 
+    wanted = frozenset(map(SchemaKind, kinds))
     root = resources.files("disclim.data").joinpath("bundled")
-    tables = []
-    for name in ("disasters_by_region.csv", "disasters_by_type.csv",
-                 "temperature_anomaly_monthly.csv"):
-        payload = root.joinpath(name).read_bytes()
-        tables.append(parse_delimited(payload, source_path=name))
-    return build_corpus(tables)
+    return build_corpus([
+        parse_delimited(root.joinpath(name).read_bytes(), source_path=name)
+        for kind, name in _BUNDLED.items() if kind in wanted
+    ])

@@ -122,7 +122,9 @@ def parse_delimited(
     """Parse headered delimited text into a RawTable.
 
     The first line is the header; trailing blank lines are ignored; every
-    data row must have exactly as many cells as the header.
+    data row must have exactly as many cells as the header, so a blank line
+    followed by a row is a ragged row of no cells.  Text the csv reader
+    cannot split raises ParseError naming the line.
     """
     if isinstance(data, bytes):
         try:
@@ -133,29 +135,34 @@ def parse_delimited(
         text = data
 
     reader = csv.reader(io.StringIO(text), delimiter=dialect.delimiter)
-    raw: list[tuple[list[str], int]] = []
-    for row in reader:
-        raw.append((row, reader.line_num))
-    while raw and raw[-1][0] == []:
-        raw.pop()
-    if not raw:
+    try:
+        # a blank first line makes an empty header, which every row after it
+        # is ragged against; blank lines alone are no content at all
+        header = tuple(cell.strip() for cell in next(reader, ()))
+        if any(not name for name in header):
+            raise ParseError(f"{source_path}: header contains an empty column name")
+        seen: set[str] = set()
+        for name in header:
+            if name in seen:
+                raise DuplicateHeaderError(name, source_path)
+            seen.add(name)
+
+        width = len(header)
+        rows: list[tuple[str, ...]] = []
+        blank_line = 0  # the first blank line since the last row
+        for cells in reader:
+            if not cells:
+                blank_line = blank_line or reader.line_num
+            elif blank_line and width:
+                raise RaggedRowError(blank_line, width, 0, source_path)
+            elif len(cells) != width:
+                raise RaggedRowError(reader.line_num, width, len(cells), source_path)
+            else:
+                rows.append(tuple(cells))
+    except csv.Error as exc:
+        raise ParseError(f"{source_path}: line {reader.line_num}: {exc}") from None
+    if not width:
         raise EmptyInputError(f"{source_path}: no content")
-
-    header_cells, _ = raw[0]
-    header = tuple(cell.strip() for cell in header_cells)
-    if any(not name for name in header):
-        raise ParseError(f"{source_path}: header contains an empty column name")
-    seen: set[str] = set()
-    for name in header:
-        if name in seen:
-            raise DuplicateHeaderError(name, source_path)
-        seen.add(name)
-
-    rows: list[tuple[str, ...]] = []
-    for cells, line_num in raw[1:]:
-        if len(cells) != len(header):
-            raise RaggedRowError(line_num, len(header), len(cells), source_path)
-        rows.append(tuple(cells))
     return RawTable(header=header, rows=tuple(rows), source_path=source_path)
 
 

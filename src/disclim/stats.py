@@ -101,7 +101,16 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ZeroVarianceError("constant series has no linear correlation")
     dx = ax - ax.mean()
     dy = ay - ay.mean()
-    denominator = math.sqrt(float(np.dot(dx, dx)) * float(np.dot(dy, dy)))
+    moments = float(np.dot(dx, dx)) * float(np.dot(dy, dy))
+    if not math.isfinite(moments):
+        # magnitudes past ~1e154 overflow a mean or a moment (numpy warns);
+        # r does not depend on scale, so divide each series by its largest
+        # magnitude and start again
+        ax, ay = ax / np.abs(ax).max(), ay / np.abs(ay).max()
+        dx = ax - ax.mean()
+        dy = ay - ay.mean()
+        moments = float(np.dot(dx, dx)) * float(np.dot(dy, dy))
+    denominator = math.sqrt(moments)
     if denominator == 0.0:
         # a spread of subnormal width squares to an exact zero moment
         raise ZeroVarianceError("series variance underflows to zero")

@@ -3,11 +3,21 @@ import json
 import shutil
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
-from disclim.cli import CORPUS_ENV, main
-from disclim.corpus import save_corpus
+from disclim import charts, stats
+from disclim.cli import (
+    CORPUS_ENV,
+    UsageError,
+    _matrix_for,
+    _reads_regions,
+    build_parser,
+    main,
+)
+from disclim.corpus import build_corpus, load_bundled_corpus, save_corpus
+from disclim.ingest import SchemaKind, parse_delimited
 
 from conftest import FIXTURES
 
@@ -386,6 +396,96 @@ class TestParser:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestBundledTables:
+    """On the bundled corpus a command builds the region table only if it reads it."""
+
+    @pytest.mark.parametrize("argv, reads", [
+        (["corr", "--method", "kendall"], False),
+        (["report"], True),
+        (["chart", "--kind", "heatmap"], False),
+        (["chart", "--kind", "stackedarea"], False),
+        (["chart", "--kind", "sunburst"], False),
+        (["chart", "--kind", "choropleth"], True),
+        (["chart", "--kind", "timeseries"], False),
+        (["chart", "--kind", "timeseries", "--series", " Anomaly "], False),
+        (["chart", "--kind", "timeseries", "--series", "Flood/occurrence",
+          "--series", "all-disasters/damage"], False),
+        (["chart", "--kind", "timeseries", "--series", "Flood/count",
+          "--series", "DEU/deaths"], True),
+        (["chart", "--kind", "dualaxis", "--left", "all-disasters/count",
+          "--right", "anomaly"], False),
+        (["chart", "--kind", "dualaxis", "--left", "anomaly",
+          "--right", "Germany/deaths"], True),
+        (["chart", "--kind", "dualaxis", "--left", "anomaly"], False),
+    ])
+    def test_which_commands_read_regions(self, argv, reads):
+        assert _reads_regions(build_parser().parse_args(argv)) is reads
+
+    def test_malformed_selector_is_usage_error_before_any_table_is_built(self):
+        args = build_parser().parse_args(["chart", "--kind", "timeseries", "--series", "Flood"])
+        with pytest.raises(UsageError, match="series selector 'Flood'"):
+            _reads_regions(args)
+
+    @pytest.mark.parametrize("against", ["occurrence", "damage"])
+    @pytest.mark.parametrize("method", stats.METHODS)
+    def test_corr_and_heatmap_match_the_full_corpus(self, bundled, tmp_path, capsys,
+                                                    method, against):
+        matrix = _matrix_for(bundled, method, against)
+        text = matrix.to_delimited()
+        flags = ["--method", method, "--against", against, "--out", str(tmp_path)]
+        assert main(["corr", *flags]) == 0
+        out = capsys.readouterr().out
+        assert out == text + "".join(
+            f"significant: {a} ~ {b}: {r:.6f}\n" for a, b, r in matrix.significant_pairs()
+        )
+        stem = tmp_path / f"correlation_{method}_{against}"
+        assert stem.with_suffix(".csv").read_bytes() == text.encode("utf-8")
+        assert stem.with_suffix(".svg").read_bytes() == charts.render_heatmap_svg(matrix)
+        assert main(["chart", "--kind", "heatmap", *flags]) == 0
+        assert (tmp_path / "heatmap.chart").read_bytes() == (
+            charts.emit_chart("heatmap", matrix).to_bytes()
+        )
+
+    def test_corr_never_loads_the_iso_table(self, tmp_path):
+        # in a fresh process, so that no earlier test has filled the cache
+        script = (
+            "import sys\n"
+            "from disclim import cli, isocodes\n"
+            "def codes_loaded(argv):\n"
+            "    assert cli.main([*argv, '--out', sys.argv[1]]) == 0\n"
+            "    return isocodes.load_default_codes.cache_info().currsize\n"
+            "print('codes', codes_loaded(['corr']))\n"
+            "print('codes', codes_loaded(['chart', '--kind', 'timeseries', '--series', 'DEU/deaths']))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        codes = [line for line in result.stdout.splitlines() if line.startswith("codes ")]
+        assert codes == ["codes 0", "codes 1"]
+
+    def test_region_selector_still_resolves(self, tmp_path):
+        assert main(["chart", "--kind", "timeseries", "--series", "Germany/deaths",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "timeseries.chart").read_text())
+        assert [s["label"] for s in doc["payload"]["series"]] == ["Germany"]
+        assert main(["chart", "--kind", "dualaxis", "--left", "deu/deaths",
+                     "--right", "anomaly", "--out", str(tmp_path)]) == 0
+
+    def test_default_builds_all_three_tables(self, bundled):
+        root = resources.files("disclim.data").joinpath("bundled")
+        names = ("disasters_by_region.csv", "disasters_by_type.csv",
+                 "temperature_anomaly_monthly.csv")
+        tables = [parse_delimited(root.joinpath(n).read_bytes(), source_path=n) for n in names]
+        assert load_bundled_corpus() == build_corpus(tables) == bundled
+
+    def test_kinds_left_out_stay_empty(self, bundled):
+        corpus = load_bundled_corpus([SchemaKind.DISASTER_TYPE, SchemaKind.ANOMALY])
+        assert corpus.region_records == ()
+        assert corpus.type_records == bundled.type_records
+        assert corpus.anomaly_records == bundled.anomaly_records
+        assert set(corpus.sources) == set(corpus.exclusions) == {"disaster-type", "anomaly"}
 
 
 def test_module_invocation_subprocess(tmp_path):

@@ -1,4 +1,9 @@
+import csv
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disclim.errors import (
     AmbiguousSchemaError,
@@ -15,6 +20,7 @@ from disclim.errors import (
 from disclim.ingest import (
     COMMA,
     TAB,
+    Dialect,
     RawTable,
     SchemaKind,
     canonical_measure,
@@ -89,11 +95,89 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_delimited(b"A,B\n\xff\xfe,2\n")
 
+    def test_unsplittable_line_is_parse_error(self):
+        # a bare carriage return inside a row is not a line ending the csv
+        # reader accepts
+        with pytest.raises(ParseError, match=r"^t\.csv: line 2: new-line character"):
+            parse_delimited("A,B\n1,2\rx\n", source_path="t.csv")
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(["", "A,B\n", "A,B,C\n", "A, A\n", "A\tB\n"]),
+        # a bare "\r" makes the reader fail, so it is drawn less often
+        st.lists(st.sampled_from(
+            ["a", "b", " ", ",", "\t", "\n", "\n\n", '"', '""', '"x\ny"', '"p,q"', "\r\n"] * 8
+            + ["\r"]
+        ), max_size=30).map("".join),
+        st.sampled_from([COMMA, TAB]),
+    )
+    def test_matches_the_two_pass_parser(self, header, body, dialect):
+        text = header + body
+        expected = _outcome(_two_pass_parse, text, dialect)
+        got = _outcome(parse_delimited, text, dialect)
+        if expected[0] == "csv.Error":
+            # the two-pass parser let the reader's error escape; this one
+            # stops at the first fault it meets and always raises a ParseError
+            assert got[0] == "error" and issubclass(got[1], ParseError)
+        else:
+            assert got == expected
+
     def test_column_index_is_case_insensitive(self):
         table = parse_delimited("Entity,Year\nx,2001\n")
         assert table.column_index("ENTITY") == 0
         with pytest.raises(KeyError):
             table.column_index("CODE")
+
+
+def _two_pass_parse(data, dialect=COMMA, source_path="<memory>"):
+    """The parser as it was before rows were built straight from the reader.
+
+    Kept verbatim as the oracle for ``parse_delimited``: it held every row
+    as a ``(cells, line_num)`` pair before building the row tuples.
+    """
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source_path}: input is not UTF-8: {exc}") from exc
+    else:
+        text = data
+
+    reader = csv.reader(io.StringIO(text), delimiter=dialect.delimiter)
+    raw: list[tuple[list[str], int]] = []
+    for row in reader:
+        raw.append((row, reader.line_num))
+    while raw and raw[-1][0] == []:
+        raw.pop()
+    if not raw:
+        raise EmptyInputError(f"{source_path}: no content")
+
+    header_cells, _ = raw[0]
+    header = tuple(cell.strip() for cell in header_cells)
+    if any(not name for name in header):
+        raise ParseError(f"{source_path}: header contains an empty column name")
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise DuplicateHeaderError(name, source_path)
+        seen.add(name)
+
+    rows: list[tuple[str, ...]] = []
+    for cells, line_num in raw[1:]:
+        if len(cells) != len(header):
+            raise RaggedRowError(line_num, len(header), len(cells), source_path)
+        rows.append(tuple(cells))
+    return RawTable(header=header, rows=tuple(rows), source_path=source_path)
+
+
+def _outcome(parse, text: str, dialect: Dialect) -> tuple:
+    try:
+        table = parse(text, dialect)
+    except csv.Error:
+        return ("csv.Error",)
+    except DataError as exc:
+        return ("error", type(exc), str(exc))
+    return ("table", table.header, table.rows)
 
 
 class TestDetect:

@@ -79,6 +79,18 @@ class TestPearson:
             theirs = scipy.stats.pearsonr(x, y).statistic
             assert ours == pytest.approx(theirs, abs=1e-12)
 
+    @pytest.mark.parametrize("x, y", [
+        ([1e200, -1e200, 0.0, 5.0], [1.0, 2.0, 3.0, 4.0]),
+        ([1e300, -1e300, 3e299, 0.0, 2e299], [2e300, 1.0, -1e300, 5e299, 0.0]),
+    ], ids=["1e200", "both-1e300"])
+    def test_overflowing_moments_match_scipy(self, x, y):
+        # the squared deviations overflow to inf (numpy warns), and the
+        # coefficient must not collapse to 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            ours = pearson(x, y)
+        theirs = scipy.stats.pearsonr(x, y).statistic
+        assert ours == pytest.approx(theirs, abs=1e-12)
+
 
 class TestRanks:
     def test_no_ties(self):
