@@ -152,14 +152,14 @@ def _choropleth(data, title, options) -> ChartDocument:
     if not isinstance(data, Mapping):
         raise KindMismatchError(f"choropleth needs a name->value mapping, got {type(data).__name__}")
     codes: IsoCodeTable | None = options.get("codes")
-    if codes is None:
-        codes = load_default_codes()
     values: dict[str, float] = {}
     missing: list[str] = []
     for name in sorted(data):
         if _CODE_RE.match(name):
             code = name
         else:
+            if codes is None:
+                codes = load_default_codes()
             entry = codes.normalize(name)
             code = entry.code if entry else None
         if code is None:

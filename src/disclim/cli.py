@@ -252,13 +252,18 @@ def _sunburst_inputs(corpus: Corpus) -> tuple[dict, dict]:
 
 
 def _choropleth_inputs(corpus: Corpus, measure: str, year: int | None) -> dict[str, float]:
+    """Per-region totals keyed by ISO code, or by name for a region without one."""
     values: dict[str, float] = {}
+    entities: dict[str, str] = {}
     for rec in corpus.region_records:
         if rec.aggregate or (year is not None and rec.year != year):
             continue
         value = rec.measures.get(measure)
         if value is not None:
-            values[rec.entity] = values.get(rec.entity, 0.0) + value
+            key = rec.iso or rec.entity
+            if entities.setdefault(key, rec.entity) != rec.entity:
+                raise DataError(f"two entities map to {key}")
+            values[key] = values.get(key, 0.0) + value
     if not values:
         where = "" if year is None else f" for year {year}"
         raise DataError(f"no {measure!r} values{where}")

@@ -25,7 +25,7 @@ from .errors import (
     UnparseableNumberError,
     YearOutOfRangeError,
 )
-from .isocodes import NormalizedEntity, load_default_codes
+from .isocodes import load_default_codes
 from .records import (
     YEAR_MAX,
     YEAR_MIN,
@@ -236,12 +236,11 @@ def parse_year_cell(cell: str) -> tuple[int, int | None]:
     m = _YEAR_RE.match(cell.strip())
     if m is None:
         raise ValueError(cell)
-    year = int(m.group(1))
-    month = int(m.group(2)) if m.group(2) else None
-    return year, month
+    year, month, _ = m.groups()
+    return int(year), int(month) if month else None
 
 
-def _parse_number(cell: str, row: int, column: str) -> float | None:
+def _parse_number(cell: str, row: int = 0, column: str = "") -> float | None:
     stripped = cell.strip()
     if stripped.lower() in NULL_TOKENS:
         return None
@@ -284,6 +283,12 @@ def coerce_records(
     non-key column of a disaster table is a measure, listed in
     ``result.measure_columns``.
 
+    Conversion runs a column at a time and converts each distinct cell of a
+    column once; records are then built row by row.  A row with a cell that
+    does not convert goes through the per-row extractor, which names the
+    row and column of its first fault.  A record that fails validation
+    names its row too.
+
     ``on_error="raise"`` aborts on the first bad row; ``"collect"`` keeps
     going and files each failure as a RowError so that
     ``len(records) + len(errors) == len(table.rows)``.
@@ -294,28 +299,43 @@ def coerce_records(
     null_counts = {col: 0 for col in table.header}
     result = CoercionResult(kind=kind)
 
+    # a plan: the row extractor (one row's cells -> make's arguments, raising
+    # the row's first fault), (index, converter) of each key column, the
+    # null-counted columns, and make (converted values -> record or None)
     if kind is SchemaKind.ANOMALY:
-        year_col = next(c for c in _YEAR_COLUMNS if c in columns)
-        anomaly_col = _anomaly_columns(columns)[0]
-        year_idx = table.column_index(columns[year_col])
-        anomaly_idx = table.column_index(columns[anomaly_col])
-        extractor = _coerce_anomaly_row(
-            columns[year_col], columns[anomaly_col], year_idx, anomaly_idx
-        )
+        extractor, keys, counted, make = _anomaly_plan(table, columns)
     else:
         layout = _measure_layout(table, columns, skip=_KEY_COLUMNS[kind])
         result.measure_columns = {column: measure for column, _, measure in layout}
-        make = _coerce_region_row if kind is SchemaKind.REGION else _coerce_type_row
-        extractor = make(table, columns, layout)
+        plan = _region_plan if kind is SchemaKind.REGION else _type_plan
+        extractor, keys, make = plan(table, columns, layout)
+        counted = [(column, idx) for column, idx, _ in layout]
 
-    for i, cells in enumerate(table.rows, start=1):
+    cells_by_column = list(zip(*table.rows)) or [()] * len(table.header)
+    bad: set[int] = set()
+    converted = []
+    for idx, convert in keys + [(idx, _parse_number) for _, idx in counted]:
+        values, failed = _convert_column(cells_by_column[idx], convert)
+        converted.append(values)
+        bad.update(failed)
+    # bad rows count their nulls in the extractor, up to their first fault
+    for (column, _), values in zip(counted, converted[len(keys):]):
+        null_counts[column] += values.count(None) - sum(values[i - 1] is None for i in bad)
+
+    for i, values in enumerate(zip(*converted), start=1):
         try:
-            record = extractor(i, cells, null_counts)
+            if i in bad:
+                # raises the row's first fault, naming its row and column
+                values = extractor(i, table.rows[i - 1], null_counts)
+            record = make(*values)
         except DataError as exc:
-            if on_error == "raise":
+            if on_error == "collect":
+                result.errors.append(RowError(i, exc))
+                continue
+            if i in bad:
                 raise
-            result.errors.append(RowError(i, exc))
-            continue
+            # a record that fails validation does not know its row
+            raise type(exc)(f"row {i}: {exc}") from None
         if record is not None:
             result.records.append(record)
 
@@ -323,7 +343,34 @@ def coerce_records(
     return result
 
 
-def _require_year(cell: str, row: int, column: str) -> tuple[int, int | None]:
+_FAILED = object()  # a cell that did not convert: its row goes through the extractor
+
+
+def _convert_column(cells, convert) -> tuple[list, list[int]]:
+    """Convert each distinct cell once: the converted column and its failed rows.
+
+    A cell fails when *convert* raises DataError or returns ``_FAILED``.  The
+    row helpers run here without a row or column; a failed row is converted
+    again by its kind's row extractor, whose error names both.
+    """
+    memo = {}
+    for cell in dict.fromkeys(cells):
+        try:
+            memo[cell] = convert(cell)
+        except DataError:
+            memo[cell] = _FAILED
+    values = list(map(memo.__getitem__, cells))
+    if not any(value is _FAILED for value in memo.values()):
+        return values, []
+    return values, [i for i, value in enumerate(values, start=1) if value is _FAILED]
+
+
+def _code_cell(cell: str) -> str | None:
+    code = cell.strip().upper()
+    return None if code.lower() in NULL_TOKENS else code
+
+
+def _require_year(cell: str, row: int = 0, column: str = "") -> tuple[int, int | None]:
     try:
         year, month = parse_year_cell(cell)
     except ValueError:
@@ -333,16 +380,28 @@ def _require_year(cell: str, row: int, column: str) -> tuple[int, int | None]:
     return year, month
 
 
-def _coerce_anomaly_row(year_col, anomaly_col, year_idx, anomaly_idx):
-    def inner(row, cells, null_counts):
-        year, month = _require_year(cells[year_idx], row, year_col)
+def _anomaly_plan(table: RawTable, columns: dict[str, str]):
+    """The coercion plan of an anomaly table: a null anomaly makes no record."""
+    year_col = columns[next(c for c in _YEAR_COLUMNS if c in columns)]
+    anomaly_col = columns[_anomaly_columns(columns)[0]]
+    year_idx = table.column_index(year_col)
+    anomaly_idx = table.column_index(anomaly_col)
+
+    def extractor(row, cells, null_counts):
+        year_month = _require_year(cells[year_idx], row, year_col)
         value = _parse_number(cells[anomaly_idx], row, anomaly_col)
         if value is None:
             null_counts[anomaly_col] += 1
-            return None
-        return AnomalyRecord(year=year, anomaly=value, month=month)
+        return year_month, value
 
-    return inner
+    def make(year_month, value):
+        if value is None:
+            return None  # counted, never a record
+        year, month = year_month
+        return AnomalyRecord(year, value, month)
+
+    keys = [(year_idx, _require_year)]
+    return extractor, keys, [(anomaly_col, anomaly_idx)], make
 
 
 def _measure_layout(table: RawTable, columns: dict[str, str], skip: frozenset[str]):
@@ -356,56 +415,76 @@ def _measure_layout(table: RawTable, columns: dict[str, str], skip: frozenset[st
     return layout
 
 
-def _collect_measures(layout, row, cells, null_counts) -> dict[str, float | None]:
-    measures: dict[str, float | None] = {}
-    for column, idx, measure in layout:
+def _row_measures(layout, row, cells, null_counts) -> list[float | None]:
+    values = []
+    for column, idx, _ in layout:
         value = _parse_number(cells[idx], row, column)
         if value is None:
             null_counts[column] += 1
-        measures[measure] = value
-    return measures
+        values.append(value)
+    return values
 
 
-def _coerce_region_row(table: RawTable, columns: dict[str, str], layout):
+def _region_plan(table: RawTable, columns: dict[str, str], layout):
+    """The coercion plan of a region table, less its measure columns."""
     entity_idx = table.column_index(columns["ENTITY"])
     code_idx = table.column_index(columns["CODE"])
-    year_idx = table.column_index(columns["YEAR"])
+    year_col = columns["YEAR"]
+    year_idx = table.column_index(year_col)
+    measures = [measure for _, _, measure in layout]
     codes = load_default_codes()
-    resolved: dict[str, NormalizedEntity | None] = {}
+    # stripped name -> (entity, code when the row has none, aggregate)
+    resolved: dict[str, tuple[str, str | None, bool]] = {}
 
-    def inner(row, cells, null_counts):
+    def extractor(row, cells, null_counts):
         entity = cells[entity_idx].strip()
         if not entity:
             raise DataError(f"row {row}: empty entity name")
-        year, _ = _require_year(cells[year_idx], row, columns["YEAR"])
-        code = cells[code_idx].strip().upper() or None
-        if code is not None and code.lower() in NULL_TOKENS:
-            code = None
-        measures = _collect_measures(layout, row, cells, null_counts)
-        if entity not in resolved:
-            resolved[entity] = codes.normalize(entity)
-        entry = resolved[entity]
+        year, _ = _require_year(cells[year_idx], row, year_col)
+        code = _code_cell(cells[code_idx])
+        return entity, code, year, *_row_measures(layout, row, cells, null_counts)
+
+    def make(name, code, year, *values):
+        entry = resolved.get(name)
         if entry is None:
-            return DisasterRecord(entity=entity, iso=code, year=year, measures=measures)
+            found = codes.normalize(name)
+            entry = resolved[name] = (
+                (name, None, False) if found is None
+                else (found.canonical, found.code, found.aggregate)
+            )
+        entity, default_code, aggregate = entry
         return DisasterRecord(
-            entity=entry.canonical, iso=code or entry.code, year=year,
-            measures=measures, aggregate=entry.aggregate,
+            entity, code or default_code, year, dict(zip(measures, values)), aggregate
         )
 
-    return inner
+    keys = [
+        (entity_idx, lambda cell: cell.strip() or _FAILED),
+        (code_idx, _code_cell),
+        (year_idx, lambda cell: _require_year(cell)[0]),
+    ]
+    return extractor, keys, make
 
 
-def _coerce_type_row(table: RawTable, columns: dict[str, str], layout):
+def _type_plan(table: RawTable, columns: dict[str, str], layout):
+    """The coercion plan of a disaster-type table, less its measure columns."""
     entity_idx = table.column_index(columns["ENTITY"])
-    year_idx = table.column_index(columns["YEAR"])
+    year_col = columns["YEAR"]
+    year_idx = table.column_index(year_col)
+    measures = [measure for _, _, measure in layout]
 
-    def inner(row, cells, null_counts):
+    def extractor(row, cells, null_counts):
         name = cells[entity_idx].strip()
         disaster_type = parse_disaster_type(name)
         if disaster_type is None:
             raise DataError(f"row {row}: unknown disaster type {name!r}")
-        year, _ = _require_year(cells[year_idx], row, columns["YEAR"])
-        measures = _collect_measures(layout, row, cells, null_counts)
-        return TypeRecord(disaster_type=disaster_type, year=year, measures=measures)
+        year, _ = _require_year(cells[year_idx], row, year_col)
+        return disaster_type, year, *_row_measures(layout, row, cells, null_counts)
 
-    return inner
+    def make(disaster_type, year, *values):
+        return TypeRecord(disaster_type, year, dict(zip(measures, values)))
+
+    keys = [
+        (entity_idx, lambda cell: parse_disaster_type(cell) or _FAILED),
+        (year_idx, lambda cell: _require_year(cell)[0]),
+    ]
+    return extractor, keys, make

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from disclim import charts as charts_module
 from disclim.charts import (
     ChartDocument,
     ChartKind,
@@ -158,6 +159,14 @@ class TestChoropleth:
         with pytest.raises(MissingIsoCodesError) as err:
             emit_chart("choropleth", {"Atlantis": 1.0, "Mu": 2.0, "IND": 3.0})
         assert err.value.entities == ["Atlantis", "Mu"]
+
+    def test_codes_alone_leave_the_code_table_unread(self, monkeypatch):
+        def unread():
+            raise AssertionError("the ISO code table was read")
+
+        monkeypatch.setattr(charts_module, "load_default_codes", unread)
+        doc = emit_chart("choropleth", {"IND": 4.0, "RUS": 2.5})
+        assert doc.payload["values"] == {"IND": 4.0, "RUS": 2.5}
 
     def test_name_and_code_collision(self):
         with pytest.raises(DataError, match="IND"):

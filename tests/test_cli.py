@@ -312,6 +312,30 @@ class TestChart:
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "disclim: no 'deaths' values for year 0\n"
 
+    @pytest.mark.parametrize("rows, expected", [
+        # a region's own code keys the map, also for a name the ISO table lacks
+        ("India,IND,2001,5\nIndia,IND,2002,2\nAtlantis,ATL,2001,1\nWorld,,2001,9\n",
+         (0, {"ATL": 1.0, "IND": 7.0})),
+        ("India,IND,2001,5\nLemuria,,2001,1\nMu,,2001,2\n",
+         (2, "disclim: entities without ISO codes: Lemuria, Mu\n")),
+        ("India,IND,2001,5\nBharat,IND,2001,1\n",
+         (2, "disclim: two entities map to IND\n")),
+    ])
+    def test_choropleth_keys_by_record_code(self, tmp_path, capsys, rows, expected):
+        source = tmp_path / "region.csv"
+        source.write_text("ENTITY,CODE,YEAR,DEATHS\n" + rows)
+        corpus_dir = tmp_path / "corpus"
+        assert main(["ingest", "--region", str(source), "--corpus", str(corpus_dir)]) == 0
+        capsys.readouterr()
+        code = main(["chart", "--kind", "choropleth", "--corpus", str(corpus_dir),
+                     "--out", str(tmp_path / "out")])
+        if expected[0] == 0:
+            assert code == 0
+            doc = json.loads((tmp_path / "out" / "choropleth.chart").read_text())
+            assert doc["payload"]["values"] == expected[1]
+        else:
+            assert (code, capsys.readouterr().err) == expected
+
     def test_heatmap_kind(self, tmp_path):
         assert main(["chart", "--kind", "heatmap", "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "heatmap.chart").read_text())

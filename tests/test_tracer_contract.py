@@ -21,7 +21,7 @@ import pytest
 import disclim
 from disclim.cli import CORPUS_ENV, main
 
-from conftest import fixture_bytes
+from conftest import fixture_bytes, fixture_table
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BUNDLED = Path(disclim.__file__).parent / "data" / "bundled"
@@ -90,10 +90,15 @@ def test_traced_steps_run_and_every_name_is_restored(tracing, tmp_path):
     assert corr["stats.estimator_calls"] > 0
     assert report["corpus.digest_checks"] == 3
     assert report["charts.bytes"] > 0
+    # stored region records carry their codes; the choropleth looks none up
+    assert report["isocodes.lookups"] == 0
 
     assert loaded == built
     assert ingest["corpus.digest_checks"] == 3
     assert ingest["records.constructed_per_row"] == 1.0
+    region = fixture_table("region_sample.csv")
+    entity = region.column_index("ENTITY")
+    assert ingest["isocodes.lookups"] == len({cells[entity].strip() for cells in region.rows})
     assert ingest["corpus.bytes_written"] == sum(
         p.stat().st_size for p in directory.iterdir() if p.is_file()
     )
