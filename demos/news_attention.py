@@ -13,11 +13,7 @@ from disclim.metrics import intensity_ratio
 
 # all-time deaths by type, from the bundled record
 corpus = disclim.load_bundled_corpus()
-deaths: dict[str, float] = {}
-for rec in corpus.type_records:
-    if not rec.aggregate and rec.measures.get("deaths") is not None:
-        label = rec.disaster_type.display
-        deaths[label] = deaths.get(label, 0.0) + rec.measures["deaths"]
+deaths, _affected = disclim.deaths_and_affected(corpus)
 
 # coverage shares in percent, e.g. from a media-monitoring study;
 # they need not reach 100 because outlets also cover everything else

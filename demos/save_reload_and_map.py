@@ -37,11 +37,7 @@ overlay = disclim.emit_chart(
 print("dual-axis years:", overlay.payload["years"][0], "to", overlay.payload["years"][-1])
 
 # the choropleth wants one value per country, keyed by ISO alpha-3
-deaths_2016: dict[str, float] = {}
-for rec in corpus.region_records:
-    if rec.year == 2016 and not rec.aggregate and rec.measures.get("deaths") is not None:
-        deaths_2016[rec.entity] = rec.measures["deaths"]
-
+deaths_2016 = disclim.region_totals(corpus, "deaths", 2016)
 world = disclim.emit_chart("choropleth", deaths_2016, title="Deaths in 2016", year=2016)
 codes = sorted(world.payload["values"])
 print(f"choropleth covers {len(codes)} countries ({codes[0]} .. {codes[-1]})")

@@ -34,17 +34,7 @@ area = disclim.emit_chart("stackedarea", shares, title="Share of recorded events
 (out / "share_of_events.stackedarea.json").write_bytes(area.to_bytes())
 
 # deaths nest inside affected counts, type by type, under a single root
-deaths: dict[str, float] = {}
-affected: dict[str, float] = {}
-for rec in corpus.type_records:
-    if rec.aggregate:
-        continue
-    label = rec.disaster_type.display
-    if rec.measures.get("deaths") is not None:
-        deaths[label] = deaths.get(label, 0.0) + rec.measures["deaths"]
-    if rec.measures.get("affected") is not None:
-        affected[label] = affected.get(label, 0.0) + rec.measures["affected"]
-
+deaths, affected = disclim.deaths_and_affected(corpus)
 root, warnings = disclim.sunburst_deaths_affected(deaths, affected)
 for note in warnings:
     print("note:", note)

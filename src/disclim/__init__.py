@@ -25,6 +25,7 @@ from .corpus import (
     Corpus,
     JoinedTable,
     align_union,
+    annual_totals,
     annualize_anomaly,
     build_corpus,
     check_aggregate_consistency,
@@ -55,8 +56,10 @@ from .metrics import (
     ShareTable,
     SunburstNode,
     death_rate,
+    deaths_and_affected,
     news_intensity,
     overall_share,
+    region_totals,
     share_of_total,
     share_table,
     shares_by_group,
@@ -109,12 +112,14 @@ __all__ = [
     "TypeRecord",
     "ZeroVarianceError",
     "align_union",
+    "annual_totals",
     "annualize_anomaly",
     "build_corpus",
     "check_aggregate_consistency",
     "coerce_records",
     "correlation_matrix",
     "death_rate",
+    "deaths_and_affected",
     "detect_schema",
     "emit_chart",
     "integrate_on_year",
@@ -132,6 +137,7 @@ __all__ = [
     "ramp_color",
     "ramp_position",
     "rank_average_ties",
+    "region_totals",
     "render_heatmap_svg",
     "save_corpus",
     "share_of_total",

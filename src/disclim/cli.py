@@ -66,6 +66,8 @@ class RunConfig:
                 raise UsageError(f"{name} must be a string path, not {value!r}")
         if not isinstance(self.out, str):
             raise UsageError(f"out must be a string path, not {self.out!r}")
+        if not isinstance(self.tab, bool):
+            raise UsageError(f"tab must be true or false, not {self.tab!r}")
         for name in ("significance", "null_threshold"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -237,39 +239,6 @@ def _cmd_corr(args) -> int:
     return 0
 
 
-def _sunburst_inputs(corpus: Corpus) -> tuple[dict, dict]:
-    deaths: dict[str, float] = {}
-    affected: dict[str, float] = {}
-    for rec in corpus.type_records:
-        if rec.aggregate:
-            continue
-        label = rec.disaster_type.display
-        for name, bucket in (("deaths", deaths), ("affected", affected)):
-            value = rec.measures.get(name)
-            if value is not None:
-                bucket[label] = bucket.get(label, 0.0) + value
-    return deaths, affected
-
-
-def _choropleth_inputs(corpus: Corpus, measure: str, year: int | None) -> dict[str, float]:
-    """Per-region totals keyed by ISO code, or by name for a region without one."""
-    values: dict[str, float] = {}
-    entities: dict[str, str] = {}
-    for rec in corpus.region_records:
-        if rec.aggregate or (year is not None and rec.year != year):
-            continue
-        value = rec.measures.get(measure)
-        if value is not None:
-            key = rec.iso or rec.entity
-            if entities.setdefault(key, rec.entity) != rec.entity:
-                raise DataError(f"two entities map to {key}")
-            values[key] = values.get(key, 0.0) + value
-    if not values:
-        where = "" if year is None else f" for year {year}"
-        raise DataError(f"no {measure!r} values{where}")
-    return values
-
-
 def _build_chart(corpus: Corpus, args, config: RunConfig) -> charts.ChartDocument:
     kind = charts.parse_chart_kind(args.kind)
     if kind is charts.ChartKind.TIME_SERIES:
@@ -287,13 +256,12 @@ def _build_chart(corpus: Corpus, args, config: RunConfig) -> charts.ChartDocumen
     if kind is charts.ChartKind.STACKED_AREA:
         return charts.emit_chart(kind, metrics.share_table(corpus, args.measure or "count"))
     if kind is charts.ChartKind.SUNBURST:
-        deaths, affected = _sunburst_inputs(corpus)
-        root, warnings = metrics.sunburst_deaths_affected(deaths, affected)
+        root, warnings = metrics.sunburst_deaths_affected(*metrics.deaths_and_affected(corpus))
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
         return charts.emit_chart(kind, root)
     if kind is charts.ChartKind.CHOROPLETH:
-        values = _choropleth_inputs(corpus, args.measure or "deaths", args.year)
+        values = metrics.region_totals(corpus, args.measure or "deaths", args.year)
         return charts.emit_chart(kind, values)
     matrix = _matrix_for(corpus, stats.normalize_method(config.method), config.against)
     return charts.emit_chart(kind, matrix)
@@ -316,9 +284,12 @@ def _cmd_report(args) -> int:
     written: list[str] = []
     summary: dict = {"significance_threshold": config.significance, "matrices": {}}
 
+    # the anomaly and each type against each measure, built and aligned once
+    series = {against: corpus.default_series(measure) for against, measure in _AGAINST.items()}
+    tables = {against: align_union(seriess) for against, seriess in series.items()}
     for method in stats.METHODS:
-        for against in _AGAINST:
-            matrix = _matrix_for(corpus, method, against)
+        for against, table in tables.items():
+            matrix = stats.correlation_matrix(table, method)
             stem = f"correlation_{method}_{against}"
             _write_atomic(out / f"{stem}.csv", matrix.to_delimited().encode("utf-8"))
             _write_atomic(out / f"{stem}.svg", charts.render_heatmap_svg(matrix))
@@ -332,23 +303,17 @@ def _cmd_report(args) -> int:
                 ],
             }
 
-    anomaly = corpus.anomaly_series()
-    all_count = corpus.build_series(DisasterType.ALL_NATURAL_DISASTERS, "count")
+    anomaly, all_count = series["occurrence"][:2]
+    root, _warnings = metrics.sunburst_deaths_affected(*metrics.deaths_and_affected(corpus))
     documents = {
-        "timeseries": charts.emit_chart(
-            "timeseries", align_union(corpus.default_series("count"))
-        ),
+        "timeseries": charts.emit_chart("timeseries", tables["occurrence"]),
         "dualaxis": charts.emit_chart(
             "dualaxis", integrate_on_year([all_count, anomaly]), secondary=anomaly.label
         ),
         "stackedarea": charts.emit_chart("stackedarea", metrics.share_table(corpus, "count")),
+        "sunburst": charts.emit_chart("sunburst", root),
+        "choropleth": charts.emit_chart("choropleth", metrics.region_totals(corpus, "deaths")),
     }
-    deaths, affected = _sunburst_inputs(corpus)
-    root, _warnings = metrics.sunburst_deaths_affected(deaths, affected)
-    documents["sunburst"] = charts.emit_chart("sunburst", root)
-    documents["choropleth"] = charts.emit_chart(
-        "choropleth", _choropleth_inputs(corpus, "deaths", None)
-    )
     for name, doc in documents.items():
         _write_atomic(out / f"{name}.chart", doc.to_bytes())
         written.append(f"{name}.chart")

@@ -14,6 +14,7 @@ import json
 import re
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import (
@@ -36,6 +37,7 @@ from .records import (
 
 ANOMALY_LABEL = "Temperature Anomaly"
 DEFAULT_NULL_THRESHOLD = 0.30
+BY_TYPE = attrgetter("disaster_type")  # the annual_totals key of a TypeRecord
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,25 @@ def align_union(seriess: Sequence[AnnualSeries]) -> JoinedTable:
     return JoinedTable(years=years, labels=tuple(s.label for s in seriess), columns=tuple(columns))
 
 
+def annual_totals(records: Iterable, measure: str, key: Callable) -> dict:
+    """``{key(rec): {year: total of measure}}`` over disaster records.
+
+    The one summation rule behind every series, share and map input: each
+    total adds its records' values in record order, a null is skipped, and
+    a key or year with no defined value is absent rather than zero.
+    """
+    totals: dict = {}
+    for rec in records:
+        value = rec.measures.get(measure)
+        if value is not None:
+            group = key(rec)
+            by_year = totals.get(group)
+            if by_year is None:
+                by_year = totals[group] = {}
+            by_year[rec.year] = by_year.get(rec.year, 0.0) + value
+    return totals
+
+
 def annualize_anomaly(records: Iterable[AnomalyRecord], label: str = ANOMALY_LABEL) -> AnnualSeries:
     """Collapse (possibly monthly) anomaly records to annual means."""
     sums: dict[int, float] = {}
@@ -183,24 +204,17 @@ class Corpus:
         if isinstance(selector, str):
             parsed = parse_disaster_type(selector)
             selector = parsed if parsed is not None else selector
-        by_year: dict[int, float] = {}
         if isinstance(selector, DisasterType):
             label = selector.display
-            for rec in self.type_records:
-                if rec.disaster_type is selector:
-                    value = rec.measures.get(measure)
-                    if value is not None:
-                        by_year[rec.year] = by_year.get(rec.year, 0.0) + value
+            matched = [rec for rec in self.type_records if rec.disaster_type is selector]
         else:
             label = selector.strip()
             matched = self._regions_matching(label.casefold())
             if not matched:
                 raise UnknownSelectorError(f"unknown entity or disaster type {label!r}")
-            for rec in matched:
-                value = rec.measures.get(measure)
-                if value is not None:
-                    by_year[rec.year] = by_year.get(rec.year, 0.0) + value
             label = matched[-1].entity
+        # the matched records share one class, so keyed by it they make one group
+        by_year = next(iter(annual_totals(matched, measure, type).values()), {})
         if not by_year:
             known = self._known_measures(selector)
             raise UnknownMeasureError(
@@ -271,21 +285,12 @@ def check_aggregate_consistency(corpus: Corpus, measure: str, tol: float = 1e-9)
     Types absent in a year contribute zero.  Returns human-readable
     violation descriptions; an empty list means the identity holds.
     """
-    try:
-        total = corpus.build_series(DisasterType.ALL_NATURAL_DISASTERS, measure)
-    except (UnknownSelectorError, UnknownMeasureError):
-        return []
-    parts = {}
-    for t in DisasterType:
-        if t.is_aggregate:
-            continue
-        try:
-            parts[t] = corpus.build_series(t, measure)
-        except (UnknownSelectorError, UnknownMeasureError):
-            continue
+    totals = annual_totals(corpus.type_records, measure, BY_TYPE)
+    aggregate = totals.pop(DisasterType.ALL_NATURAL_DISASTERS, {})
+    parts = [totals[t] for t in DisasterType if t in totals]
     problems = []
-    for year, value in zip(total.years, total.values):
-        summed = sum(p.get(year) or 0.0 for p in parts.values())
+    for year, value in sorted(aggregate.items()):
+        summed = sum(p.get(year, 0.0) for p in parts)
         if abs(summed - value) > tol:
             problems.append(
                 f"{measure} {year}: aggregate {value!r} != sum of types {summed!r}"

@@ -1,8 +1,9 @@
 """Derived quantities: death rates, share-of-total tables, the
-deaths-within-affected hierarchy, and news-coverage intensity.
+deaths-within-affected hierarchy, news-coverage intensity, and the
+per-type and per-region totals behind the sunburst and choropleth.
 
-Everything here is a pure function over plain mappings, so the corpus
-bridges (`share_table`, `overall_share`) are thin.
+Corpus readers take every sum from `corpus.annual_totals`; the rest are
+pure functions over plain mappings.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .corpus import Corpus
+from .corpus import BY_TYPE, Corpus, annual_totals
 from .errors import DataError, NegativeValueError, ZeroPopulationError
 from .records import DisasterType
 
@@ -97,31 +98,53 @@ def shares_by_group(per_year: Mapping[int, Mapping[str, float]]) -> ShareTable:
 def share_table(corpus: Corpus, measure: str = "count") -> ShareTable:
     """Per-year, per-type shares of *measure*, excluding the aggregate row."""
     per_year: dict[int, dict[str, float]] = {}
-    for rec in corpus.type_records:
-        if rec.aggregate:
-            continue
-        value = rec.measures.get(measure)
-        if value is None:
-            continue
-        per_year.setdefault(rec.year, {})[rec.disaster_type.display] = value
+    for t, by_year in annual_totals(corpus.type_records, measure, BY_TYPE).items():
+        if not t.is_aggregate:
+            for year, total in by_year.items():
+                per_year.setdefault(year, {})[t.display] = total
     if not per_year:
         raise DataError(f"no per-type {measure!r} observations in corpus")
     return shares_by_group(per_year)
 
 
+def _type_totals(corpus: Corpus, measure: str) -> dict[str, float]:
+    """All-years totals of *measure* by type display name, the aggregate left out."""
+    by_type = annual_totals(corpus.type_records, measure, BY_TYPE)
+    return {t.display: sum(years.values()) for t, years in by_type.items() if not t.is_aggregate}
+
+
 def overall_share(corpus: Corpus, disaster_type: DisasterType, measure: str = "count") -> float:
     """One type's fraction of the all-years, all-types total of *measure*."""
-    totals: dict[DisasterType, float] = {}
-    for rec in corpus.type_records:
-        if rec.aggregate:
-            continue
-        value = rec.measures.get(measure)
-        if value is not None:
-            totals[rec.disaster_type] = totals.get(rec.disaster_type, 0.0) + value
+    totals = _type_totals(corpus, measure)
     grand = sum(totals.values())
     if grand == 0:
         raise DataError(f"no nonzero {measure!r} observations in corpus")
-    return totals.get(disaster_type, 0.0) / grand
+    return totals.get(disaster_type.display, 0.0) / grand
+
+
+def deaths_and_affected(corpus: Corpus) -> tuple[dict[str, float], dict[str, float]]:
+    """All-years deaths and affected totals per type: the sunburst's inputs."""
+    return _type_totals(corpus, "deaths"), _type_totals(corpus, "affected")
+
+
+def region_totals(corpus: Corpus, measure: str, year: int | None = None) -> dict[str, float]:
+    """Per-region totals of *measure*, over all years or one: the choropleth's input.
+
+    Keyed by ISO code, or by name for a region without one; aggregate rows
+    are left out, and two entity names sharing one code raise DataError.
+    """
+    records = [rec for rec in corpus.region_records
+               if not rec.aggregate and (year is None or rec.year == year)]
+    values: dict[str, float] = {}
+    by_region = annual_totals(records, measure, lambda rec: (rec.iso or rec.entity, rec.entity))
+    for (key, _entity), by_year in by_region.items():
+        if key in values:  # each (key, entity) is one group, so this is a second entity
+            raise DataError(f"two entities map to {key}")
+        values[key] = sum(by_year.values())
+    if not values:
+        where = "" if year is None else f" for year {year}"
+        raise DataError(f"no {measure!r} values{where}")
+    return values
 
 
 @dataclass(frozen=True)

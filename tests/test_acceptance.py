@@ -19,7 +19,14 @@ from disclim.charts import emit_chart, ramp_position, render_heatmap_svg
 from disclim.cli import main
 from disclim.corpus import align_union, build_corpus, integrate_on_year
 from disclim.ingest import parse_delimited
-from disclim.metrics import overall_share, share_table, shares_by_group, sunburst_deaths_affected
+from disclim.metrics import (
+    deaths_and_affected,
+    overall_share,
+    region_totals,
+    share_table,
+    shares_by_group,
+    sunburst_deaths_affected,
+)
 from disclim.records import DisasterType
 from disclim.stats import (
     METHODS,
@@ -302,21 +309,8 @@ def test_criterion_8_pipeline_speed():
 
     anomaly = corpus.anomaly_series()
     all_count = corpus.build_series(DisasterType.ALL_NATURAL_DISASTERS, "count")
-    deaths: dict[str, float] = {}
-    affected: dict[str, float] = {}
-    by_country: dict[str, float] = {}
-    for rec in corpus.type_records:
-        if rec.aggregate:
-            continue
-        label = rec.disaster_type.display
-        if rec.measures.get("deaths") is not None:
-            deaths[label] = deaths.get(label, 0.0) + rec.measures["deaths"]
-        if rec.measures.get("affected") is not None:
-            affected[label] = affected.get(label, 0.0) + rec.measures["affected"]
-    for rec in corpus.region_records:
-        if not rec.aggregate and rec.measures.get("deaths") is not None:
-            by_country[rec.entity] = by_country.get(rec.entity, 0.0) + rec.measures["deaths"]
-    hierarchy, _warnings = sunburst_deaths_affected(deaths, affected)
+    hierarchy, _warnings = sunburst_deaths_affected(*deaths_and_affected(corpus))
+    by_country = region_totals(corpus, "deaths")
 
     documents = [
         emit_chart("timeseries", align_union(corpus.default_series("count"))),

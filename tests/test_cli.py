@@ -3,11 +3,13 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 
 import pytest
 
-from disclim import charts, stats
+from disclim import charts, cli, stats
+from disclim import corpus as corpus_module
 from disclim.cli import (
     CORPUS_ENV,
     UsageError,
@@ -16,7 +18,7 @@ from disclim.cli import (
     build_parser,
     main,
 )
-from disclim.corpus import build_corpus, load_bundled_corpus, save_corpus
+from disclim.corpus import Corpus, build_corpus, load_bundled_corpus, save_corpus
 from disclim.ingest import SchemaKind, parse_delimited
 
 from conftest import FIXTURES
@@ -362,6 +364,28 @@ class TestReport:
         assert out.startswith("report:")
         assert (tmp_path / "summary.txt").read_text() == out
 
+    def test_each_measure_table_is_built_once(self, tmp_path, monkeypatch, capsys):
+        calls = Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("default_series", "build_series", "anomaly_series"):
+            counted(Corpus, name)
+        counted(corpus_module, "align_union")
+        counted(cli, "align_union")
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        # one anomaly and nine type series per --against measure, aligned once
+        assert calls == {"default_series": 2, "build_series": 18, "anomaly_series": 2,
+                         "align_union": 2}
+
 
 class TestConfig:
     def test_config_file_supplies_defaults(self, tmp_path):
@@ -410,6 +434,10 @@ class TestConfig:
         cfg.write_text(json.dumps({"significance": "high"}))
         assert main(["corr", "--config", str(cfg)]) == 1
         capsys.readouterr()
+        # "false" is a non-empty string, so unchecked it would turn tab parsing on
+        cfg.write_text(json.dumps({"tab": "false"}))
+        assert main(["ingest", "--types", "types.csv", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "disclim: tab must be true or false, not 'false'\n"
 
 
 class TestParser:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from disclim.corpus import build_corpus
 from disclim.errors import DataError, NegativeValueError, ZeroPopulationError
 from disclim.metrics import (
     NewsIntensity,
@@ -17,6 +18,7 @@ from disclim.metrics import (
     shares_by_group,
     sunburst_deaths_affected,
 )
+from disclim.ingest import parse_delimited
 from disclim.records import DisasterType
 
 
@@ -135,6 +137,13 @@ class TestCorpusShares:
             share_table(micro_corpus, "count")
         with pytest.raises(DataError):
             overall_share(micro_corpus, DisasterType.FLOOD, "count")
+
+    def test_duplicate_type_year_rows_are_summed(self):
+        raw = b"Entity,Year,Occurrences\nFlood,2000,3\nFlood,2000,4\nDrought,2000,3\n"
+        corpus = build_corpus([parse_delimited(raw, source_path="types.csv")])
+        assert share_table(corpus).row(2000) == {"Drought": 0.3, "Flood": 0.7}
+        assert overall_share(corpus, DisasterType.FLOOD) == 0.7
+        assert corpus.build_series("flood", "count").values == (7.0,)
 
     def test_bundled_excludes_aggregate(self, bundled):
         table = share_table(bundled)
