@@ -38,7 +38,7 @@ print("dual-axis years:", overlay.payload["years"][0], "to", overlay.payload["ye
 
 # the choropleth wants one value per country, keyed by ISO alpha-3
 deaths_2016 = disclim.region_totals(corpus, "deaths", 2016)
-world = disclim.emit_chart("choropleth", deaths_2016, title="Deaths in 2016", year=2016)
+world = disclim.emit_chart("choropleth", deaths_2016, title="Deaths in 2016")
 codes = sorted(world.payload["values"])
 print(f"choropleth covers {len(codes)} countries ({codes[0]} .. {codes[-1]})")
 

@@ -22,7 +22,7 @@ from .errors import (
     KindMismatchError,
     MissingIsoCodesError,
 )
-from .isocodes import IsoCodeTable, load_default_codes
+from .isocodes import load_default_codes
 from .metrics import ShareTable, SunburstNode
 from .stats import CorrelationMatrix
 
@@ -87,21 +87,22 @@ def _series_payload(table: JoinedTable) -> dict:
     }
 
 
-def _timeseries(data, title, options) -> ChartDocument:
+def _timeseries(data, title, units) -> ChartDocument:
     table = _as_joined(data)
     return ChartDocument(
         kind=ChartKind.TIME_SERIES,
         title=title or "Time series",
-        axes={"x": "year", "y": options.get("units", "")},
+        axes={"x": "year", "y": units},
         payload=_series_payload(table),
     )
 
 
-def _dualaxis(data, title, options) -> ChartDocument:
+def _dualaxis(data, title, secondary) -> ChartDocument:
     table = _as_joined(data)
     if len(table.labels) != 2:
         raise KindMismatchError(f"dual-axis needs exactly 2 series, got {len(table.labels)}")
-    secondary = options.get("secondary", table.labels[1])
+    if secondary is None:
+        secondary = table.labels[1]
     if secondary not in table.labels:
         raise KindMismatchError(f"secondary series {secondary!r} not among {table.labels}")
     primary = table.labels[0] if secondary != table.labels[0] else table.labels[1]
@@ -113,7 +114,7 @@ def _dualaxis(data, title, options) -> ChartDocument:
     )
 
 
-def _stackedarea(data, title, options) -> ChartDocument:
+def _stackedarea(data, title) -> ChartDocument:
     if not isinstance(data, ShareTable):
         raise KindMismatchError(f"stacked area needs a ShareTable, got {type(data).__name__}")
     return ChartDocument(
@@ -137,7 +138,7 @@ def _sunburst_node(node: SunburstNode) -> dict:
     }
 
 
-def _sunburst(data, title, options) -> ChartDocument:
+def _sunburst(data, title) -> ChartDocument:
     if not isinstance(data, SunburstNode):
         raise KindMismatchError(f"sunburst needs a SunburstNode, got {type(data).__name__}")
     return ChartDocument(
@@ -148,19 +149,16 @@ def _sunburst(data, title, options) -> ChartDocument:
     )
 
 
-def _choropleth(data, title, options) -> ChartDocument:
+def _choropleth(data, title) -> ChartDocument:
     if not isinstance(data, Mapping):
         raise KindMismatchError(f"choropleth needs a name->value mapping, got {type(data).__name__}")
-    codes: IsoCodeTable | None = options.get("codes")
     values: dict[str, float] = {}
     missing: list[str] = []
     for name in sorted(data):
         if _CODE_RE.match(name):
             code = name
         else:
-            if codes is None:
-                codes = load_default_codes()
-            entry = codes.normalize(name)
+            entry = load_default_codes().normalize(name)
             code = entry.code if entry else None
         if code is None:
             missing.append(name)
@@ -178,7 +176,7 @@ def _choropleth(data, title, options) -> ChartDocument:
     )
 
 
-def _heatmap(data, title, options) -> ChartDocument:
+def _heatmap(data, title) -> ChartDocument:
     if not isinstance(data, CorrelationMatrix):
         raise KindMismatchError(f"heatmap needs a CorrelationMatrix, got {type(data).__name__}")
     return ChartDocument(
@@ -194,8 +192,6 @@ def _heatmap(data, title, options) -> ChartDocument:
 
 
 _EMITTERS = {
-    ChartKind.TIME_SERIES: _timeseries,
-    ChartKind.DUAL_AXIS: _dualaxis,
     ChartKind.STACKED_AREA: _stackedarea,
     ChartKind.SUNBURST: _sunburst,
     ChartKind.CHOROPLETH: _choropleth,
@@ -203,11 +199,26 @@ _EMITTERS = {
 }
 
 
-def emit_chart(kind: ChartKind | str, data, title: str | None = None, **options) -> ChartDocument:
-    """Build the document for *kind*; inputs must match the kind's schema."""
+def emit_chart(
+    kind: ChartKind | str,
+    data,
+    title: str | None = None,
+    *,
+    units: str = "",
+    secondary: str | None = None,
+) -> ChartDocument:
+    """Build the document for *kind*; inputs must match the kind's schema.
+
+    *units* labels the y axis of a time series; *secondary* names the
+    right-hand series of a dual-axis chart, by default its second.
+    """
     if isinstance(kind, str):
         kind = parse_chart_kind(kind)
-    return _EMITTERS[kind](data, title, options)
+    if kind is ChartKind.TIME_SERIES:
+        return _timeseries(data, title, units)
+    if kind is ChartKind.DUAL_AXIS:
+        return _dualaxis(data, title, secondary)
+    return _EMITTERS[kind](data, title)
 
 
 # -- heatmap SVG -------------------------------------------------------------

@@ -80,7 +80,7 @@ class RunConfig:
             stats.normalize_method(self.method)
         except (ValueError, AttributeError):
             raise UsageError(f"unknown correlation method {self.method!r}") from None
-        if self.against not in _AGAINST:
+        if not isinstance(self.against, str) or self.against not in _AGAINST:
             raise UsageError(
                 f"against must be one of {', '.join(sorted(_AGAINST))}, not {self.against!r}"
             )

@@ -439,6 +439,9 @@ def _read_manifest(path: Path) -> dict:
         if not (isinstance(entry, dict) and all(
                 isinstance(entry.get(key), str) for key in ("file", "sha256"))):
             raise DataError(f"{path}: table {kind!r} needs a 'file' and a 'sha256'")
+        # the writer writes plain names only; anything else could leave the directory
+        if entry["file"] in ("", ".", "..") or Path(entry["file"]).name != entry["file"]:
+            raise DataError(f"{path}: table {kind!r} file {entry['file']!r} is not a plain name")
     return manifest
 
 
@@ -459,7 +462,10 @@ def load_corpus(directory: str | Path) -> Corpus:
         path = directory / entry["file"]
         if not path.exists():
             raise ManifestMissingError(f"{path} listed in manifest but absent")
-        payload = path.read_bytes()
+        try:
+            payload = path.read_bytes()
+        except OSError as exc:
+            raise DataError(f"{path}: unreadable table: {exc}") from None
         digest = hashlib.sha256(payload).hexdigest()
         if digest != entry["sha256"]:
             raise DigestMismatchError(f"{path}: expected {entry['sha256']}, got {digest}")

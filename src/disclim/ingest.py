@@ -31,6 +31,7 @@ from .records import (
     YEAR_MIN,
     AnomalyRecord,
     DisasterRecord,
+    DisasterType,
     NullReport,
     TypeRecord,
     parse_disaster_type,
@@ -121,8 +122,9 @@ def parse_delimited(
 ) -> RawTable:
     """Parse headered delimited text into a RawTable.
 
-    The first line is the header; trailing blank lines are ignored; every
-    data row must have exactly as many cells as the header, so a blank line
+    The first line is the header, whose names must differ after stripping
+    and ignoring case; trailing blank lines are ignored; every data row
+    must have exactly as many cells as the header, so a blank line
     followed by a row is a ragged row of no cells.  Text the csv reader
     cannot split raises ParseError naming the line.
     """
@@ -141,11 +143,12 @@ def parse_delimited(
         header = tuple(cell.strip() for cell in next(reader, ()))
         if any(not name for name in header):
             raise ParseError(f"{source_path}: header contains an empty column name")
+        # every lookup of a column ignores case, so neither may a duplicate
         seen: set[str] = set()
         for name in header:
-            if name in seen:
+            if name.upper() in seen:
                 raise DuplicateHeaderError(name, source_path)
-            seen.add(name)
+            seen.add(name.upper())
 
         width = len(header)
         rows: list[tuple[str, ...]] = []
@@ -284,10 +287,11 @@ def coerce_records(
     ``result.measure_columns``.
 
     Conversion runs a column at a time and converts each distinct cell of a
-    column once; records are then built row by row.  A row with a cell that
-    does not convert goes through the per-row extractor, which names the
-    row and column of its first fault.  A record that fails validation
-    names its row too.
+    column once; records are then built row by row.  A row's fault is its
+    first cell that does not convert, key columns before measures: its
+    error names the row and column, and only the nulls in the columns
+    before it are counted.  A record that fails validation names its row
+    too.
 
     ``on_error="raise"`` aborts on the first bad row; ``"collect"`` keeps
     going and files each failure as a RowError so that
@@ -299,40 +303,43 @@ def coerce_records(
     null_counts = {col: 0 for col in table.header}
     result = CoercionResult(kind=kind)
 
-    # a plan: the row extractor (one row's cells -> make's arguments, raising
-    # the row's first fault), (index, converter) of each key column, the
-    # null-counted columns, and make (converted values -> record or None)
+    # a plan: (column, index, converter) of each key column in the order a
+    # row's faults are reported, the null-counted (column, index) pairs, and
+    # make (converted values -> record or None)
     if kind is SchemaKind.ANOMALY:
-        extractor, keys, counted, make = _anomaly_plan(table, columns)
+        keys, counted, make = _anomaly_plan(table, columns)
     else:
         layout = _measure_layout(table, columns, skip=_KEY_COLUMNS[kind])
         result.measure_columns = {column: measure for column, _, measure in layout}
-        plan = _region_plan if kind is SchemaKind.REGION else _type_plan
-        extractor, keys, make = plan(table, columns, layout)
+        plan_keys = _region_plan if kind is SchemaKind.REGION else _type_plan
+        keys, make = plan_keys(table, columns, layout)
         counted = [(column, idx) for column, idx, _ in layout]
+    plan = keys + [(column, idx, _parse_number) for column, idx in counted]
 
     cells_by_column = list(zip(*table.rows)) or [()] * len(table.header)
-    bad: set[int] = set()
-    converted = []
-    for idx, convert in keys + [(idx, _parse_number) for _, idx in counted]:
-        values, failed = _convert_column(cells_by_column[idx], convert)
-        converted.append(values)
-        bad.update(failed)
-    # bad rows count their nulls in the extractor, up to their first fault
-    for (column, _), values in zip(counted, converted[len(keys):]):
-        null_counts[column] += values.count(None) - sum(values[i - 1] is None for i in bad)
+    faults: dict[int, int] = {}  # bad row -> position of its first failing column
+    converted = [
+        _convert_column(cells_by_column[idx], convert, position, faults)
+        for position, (_, idx, convert) in enumerate(plan)
+    ]
+    # a bad row counts the nulls before its fault only
+    for position in range(len(keys), len(plan)):
+        values = converted[position]
+        null_counts[plan[position][0]] += values.count(None) - sum(
+            values[i - 1] is None for i, fault in faults.items() if fault < position
+        )
 
     for i, values in enumerate(zip(*converted), start=1):
         try:
-            if i in bad:
-                # raises the row's first fault, naming its row and column
-                values = extractor(i, table.rows[i - 1], null_counts)
+            if i in faults:
+                column, idx, convert = plan[faults[i]]
+                convert(table.rows[i - 1][idx], i, column)  # raises, naming row and column
             record = make(*values)
         except DataError as exc:
             if on_error == "collect":
                 result.errors.append(RowError(i, exc))
                 continue
-            if i in bad:
+            if i in faults:
                 raise
             # a record that fails validation does not know its row
             raise type(exc)(f"row {i}: {exc}") from None
@@ -343,15 +350,13 @@ def coerce_records(
     return result
 
 
-_FAILED = object()  # a cell that did not convert: its row goes through the extractor
+_FAILED = object()  # a cell that did not convert
 
 
-def _convert_column(cells, convert) -> tuple[list, list[int]]:
-    """Convert each distinct cell once: the converted column and its failed rows.
+def _convert_column(cells, convert, position: int, faults: dict[int, int]) -> list:
+    """Convert each distinct cell once, without a row or column to name.
 
-    A cell fails when *convert* raises DataError or returns ``_FAILED``.  The
-    row helpers run here without a row or column; a failed row is converted
-    again by its kind's row extractor, whose error names both.
+    A failed row whose first fault this is gets *position* in *faults*.
     """
     memo = {}
     for cell in dict.fromkeys(cells):
@@ -360,14 +365,28 @@ def _convert_column(cells, convert) -> tuple[list, list[int]]:
         except DataError:
             memo[cell] = _FAILED
     values = list(map(memo.__getitem__, cells))
-    if not any(value is _FAILED for value in memo.values()):
-        return values, []
-    return values, [i for i, value in enumerate(values, start=1) if value is _FAILED]
+    if any(value is _FAILED for value in memo.values()):
+        for i, value in enumerate(values, start=1):
+            if value is _FAILED:
+                faults.setdefault(i, position)
+    return values
 
 
-def _code_cell(cell: str) -> str | None:
-    code = cell.strip().upper()
-    return None if code.lower() in NULL_TOKENS else code
+# key converters: (cell, row, column) -> value, or the row's worded DataError
+
+
+def _entity_name(cell: str, row: int = 0, column: str = "") -> str:
+    name = cell.strip()
+    if not name:
+        raise DataError(f"row {row}: empty entity name")
+    return name
+
+
+def _disaster_type_cell(cell: str, row: int = 0, column: str = "") -> DisasterType:
+    disaster_type = parse_disaster_type(cell)
+    if disaster_type is None:
+        raise DataError(f"row {row}: unknown disaster type {cell.strip()!r}")
+    return disaster_type
 
 
 def _require_year(cell: str, row: int = 0, column: str = "") -> tuple[int, int | None]:
@@ -380,19 +399,24 @@ def _require_year(cell: str, row: int = 0, column: str = "") -> tuple[int, int |
     return year, month
 
 
+def _year_only(cell: str, row: int = 0, column: str = "") -> int:
+    return _require_year(cell, row, column)[0]
+
+
+def _code_cell(cell: str, row: int = 0, column: str = "") -> str | None:
+    code = cell.strip().upper()
+    return None if code.lower() in NULL_TOKENS else code
+
+
+def _key(table: RawTable, columns: dict[str, str], upper: str, convert):
+    column = columns[upper]
+    return column, table.column_index(column), convert
+
+
 def _anomaly_plan(table: RawTable, columns: dict[str, str]):
     """The coercion plan of an anomaly table: a null anomaly makes no record."""
-    year_col = columns[next(c for c in _YEAR_COLUMNS if c in columns)]
+    year = next(c for c in _YEAR_COLUMNS if c in columns)
     anomaly_col = columns[_anomaly_columns(columns)[0]]
-    year_idx = table.column_index(year_col)
-    anomaly_idx = table.column_index(anomaly_col)
-
-    def extractor(row, cells, null_counts):
-        year_month = _require_year(cells[year_idx], row, year_col)
-        value = _parse_number(cells[anomaly_idx], row, anomaly_col)
-        if value is None:
-            null_counts[anomaly_col] += 1
-        return year_month, value
 
     def make(year_month, value):
         if value is None:
@@ -400,8 +424,8 @@ def _anomaly_plan(table: RawTable, columns: dict[str, str]):
         year, month = year_month
         return AnomalyRecord(year, value, month)
 
-    keys = [(year_idx, _require_year)]
-    return extractor, keys, [(anomaly_col, anomaly_idx)], make
+    keys = [_key(table, columns, year, _require_year)]
+    return keys, [(anomaly_col, table.column_index(anomaly_col))], make
 
 
 def _measure_layout(table: RawTable, columns: dict[str, str], skip: frozenset[str]):
@@ -415,36 +439,14 @@ def _measure_layout(table: RawTable, columns: dict[str, str], skip: frozenset[st
     return layout
 
 
-def _row_measures(layout, row, cells, null_counts) -> list[float | None]:
-    values = []
-    for column, idx, _ in layout:
-        value = _parse_number(cells[idx], row, column)
-        if value is None:
-            null_counts[column] += 1
-        values.append(value)
-    return values
-
-
 def _region_plan(table: RawTable, columns: dict[str, str], layout):
     """The coercion plan of a region table, less its measure columns."""
-    entity_idx = table.column_index(columns["ENTITY"])
-    code_idx = table.column_index(columns["CODE"])
-    year_col = columns["YEAR"]
-    year_idx = table.column_index(year_col)
     measures = [measure for _, _, measure in layout]
     codes = load_default_codes()
     # stripped name -> (entity, code when the row has none, aggregate)
     resolved: dict[str, tuple[str, str | None, bool]] = {}
 
-    def extractor(row, cells, null_counts):
-        entity = cells[entity_idx].strip()
-        if not entity:
-            raise DataError(f"row {row}: empty entity name")
-        year, _ = _require_year(cells[year_idx], row, year_col)
-        code = _code_cell(cells[code_idx])
-        return entity, code, year, *_row_measures(layout, row, cells, null_counts)
-
-    def make(name, code, year, *values):
+    def make(name, year, code, *values):
         entry = resolved.get(name)
         if entry is None:
             found = codes.normalize(name)
@@ -458,33 +460,22 @@ def _region_plan(table: RawTable, columns: dict[str, str], layout):
         )
 
     keys = [
-        (entity_idx, lambda cell: cell.strip() or _FAILED),
-        (code_idx, _code_cell),
-        (year_idx, lambda cell: _require_year(cell)[0]),
+        _key(table, columns, "ENTITY", _entity_name),
+        _key(table, columns, "YEAR", _year_only),
+        _key(table, columns, "CODE", _code_cell),
     ]
-    return extractor, keys, make
+    return keys, make
 
 
 def _type_plan(table: RawTable, columns: dict[str, str], layout):
     """The coercion plan of a disaster-type table, less its measure columns."""
-    entity_idx = table.column_index(columns["ENTITY"])
-    year_col = columns["YEAR"]
-    year_idx = table.column_index(year_col)
     measures = [measure for _, _, measure in layout]
-
-    def extractor(row, cells, null_counts):
-        name = cells[entity_idx].strip()
-        disaster_type = parse_disaster_type(name)
-        if disaster_type is None:
-            raise DataError(f"row {row}: unknown disaster type {name!r}")
-        year, _ = _require_year(cells[year_idx], row, year_col)
-        return disaster_type, year, *_row_measures(layout, row, cells, null_counts)
 
     def make(disaster_type, year, *values):
         return TypeRecord(disaster_type, year, dict(zip(measures, values)))
 
     keys = [
-        (entity_idx, lambda cell: parse_disaster_type(cell) or _FAILED),
-        (year_idx, lambda cell: _require_year(cell)[0]),
+        _key(table, columns, "ENTITY", _disaster_type_cell),
+        _key(table, columns, "YEAR", _year_only),
     ]
-    return extractor, keys, make
+    return keys, make

@@ -116,6 +116,11 @@ class TestDualAxis:
             emit_chart("dualaxis", _two_series(), secondary="zzz")
 
 
+def test_unknown_option_raises():
+    with pytest.raises(TypeError, match="year"):
+        emit_chart("choropleth", {"IND": 4.0}, year=2016)
+
+
 class TestStackedArea:
     def test_payload_row_order(self):
         table = shares_by_group(

@@ -95,6 +95,13 @@ def _without(key):
     return edit
 
 
+def _with_file(name):
+    def edit(manifest):
+        manifest["tables"]["anomaly"]["file"] = name
+        return manifest
+    return edit
+
+
 # each edit maps the saved manifest to its replacement: raw bytes or new JSON
 @pytest.mark.parametrize("edit", [
     lambda m: b"{not json",
@@ -105,8 +112,12 @@ def _without(key):
     lambda m: {**m, "tables": {**m["tables"], "anomaly": "anomaly.table"}},
     _without("sha256"),
     _without("file"),
+    _with_file(""),
+    _with_file("."),
+    _with_file("../anomaly.table"),
 ], ids=["invalid-json", "not-utf8", "not-an-object", "tables-not-an-object",
-        "unknown-kind", "entry-not-an-object", "missing-sha256", "missing-file"])
+        "unknown-kind", "entry-not-an-object", "missing-sha256", "missing-file",
+        "empty-file-name", "dot-file-name", "file-outside"])
 def test_malformed_manifest_is_data_error(bundled_dir, tmp_path, capsys, edit):
     corpus_dir = shutil.copytree(bundled_dir, tmp_path / "corpus")
     manifest_path = corpus_dir / "manifest.json"
@@ -116,6 +127,19 @@ def test_malformed_manifest_is_data_error(bundled_dir, tmp_path, capsys, edit):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("disclim: ") and "manifest.json" in err[0]
+
+
+def test_directory_as_table_file_is_data_error(bundled_dir, tmp_path, capsys):
+    corpus_dir = shutil.copytree(bundled_dir, tmp_path / "corpus")
+    (corpus_dir / "sub").mkdir()
+    manifest_path = corpus_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tables"]["anomaly"]["file"] = "sub"
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["corr", "--corpus", str(corpus_dir), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"disclim: {corpus_dir / 'sub'}: unreadable table: ")
 
 
 def _cell(row, column, value):
@@ -438,6 +462,12 @@ class TestConfig:
         cfg.write_text(json.dumps({"tab": "false"}))
         assert main(["ingest", "--types", "types.csv", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "disclim: tab must be true or false, not 'false'\n"
+        # a list is unhashable, so unchecked it would escape as a TypeError
+        cfg.write_text(json.dumps({"against": ["x"]}))
+        assert main(["corr", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "disclim: against must be one of damage, occurrence, not ['x']\n"
+        )
 
 
 class TestParser:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -351,6 +352,23 @@ class TestPersistence:
         directory = save_corpus(micro_corpus, tmp_path)
         (directory / "anomaly.table").unlink()
         with pytest.raises(ManifestMissingError):
+            load_corpus(directory)
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../anomaly.table", "sub/anomaly.table"])
+    def test_table_file_must_be_a_plain_name(self, micro_corpus, tmp_path, name):
+        directory = save_corpus(micro_corpus, tmp_path / "corpus")
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["tables"]["anomaly"]["file"] = name
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=r"manifest\.json: table 'anomaly' file .* plain name"):
+            load_corpus(directory)
+
+    def test_unreadable_table_names_its_path(self, micro_corpus, tmp_path):
+        directory = save_corpus(micro_corpus, tmp_path / "corpus")
+        (directory / "anomaly.table").unlink()
+        (directory / "anomaly.table").mkdir()
+        with pytest.raises(DataError, match=r"anomaly\.table: unreadable table: "):
             load_corpus(directory)
 
     def test_names_with_commas_and_quotes_round_trip(self, tmp_path):

@@ -97,6 +97,12 @@ class TestParse:
             parse_delimited("A, A \n1,2\n")
         assert err.value.name == "A"
 
+    def test_duplicate_header_differing_in_case(self):
+        # lookups ignore case, so one of the two columns would be dropped unseen
+        with pytest.raises(DuplicateHeaderError) as err:
+            parse_delimited("ENTITY,YEAR,Deaths,DEATHS\nFlood,2001,5,7\n")
+        assert err.value.name == "DEATHS"
+
     def test_empty_header_name(self):
         with pytest.raises(ParseError):
             parse_delimited("A,,C\n1,2,3\n")

@@ -308,7 +308,8 @@ class TestRoundTrip:
         st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,7}", fullmatch=True),
         min_size=1,
         max_size=5,
-        unique=True,
+        # the parser rejects names that differ only in case
+        unique_by=str.upper,
     )
     cell_strategy = st.text(
         alphabet=st.characters(
