@@ -14,7 +14,9 @@ target before writing, and prints the achieved numbers.
 
 from __future__ import annotations
 
+import csv
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from disclim import pearson  # noqa: E402
-from disclim.isocodes import parse_code_table  # noqa: E402
+from disclim.isocodes import NormalizedEntity  # noqa: E402
 
 OUT = REPO / "src" / "disclim" / "data" / "bundled"
 
@@ -312,8 +314,17 @@ def build_type_table(anomaly_annual: dict[int, float], rng) -> tuple[list[str], 
     return lines, stats
 
 
-def build_region_table(codes, rng) -> tuple[list[str], dict]:
-    countries = [e for e in codes.countries() if e.canonical not in SKIPPED_MICROSTATES]
+def load_countries() -> list[NormalizedEntity]:
+    """The code table's non-aggregate entries, sorted by canonical name."""
+    path = REPO / "src" / "disclim" / "data" / "country_codes.csv"
+    with path.open(encoding="utf-8", newline="") as handle:
+        rows = [row for row in csv.DictReader(handle) if row["aggregate"] != "true"]
+    entries = (NormalizedEntity(row["canonical"], row["code"] or None, False) for row in rows)
+    return sorted(entries, key=attrgetter("canonical"))
+
+
+def build_region_table(entries, rng) -> tuple[list[str], dict]:
+    countries = [e for e in entries if e.canonical not in SKIPPED_MICROSTATES]
     assert len(countries) == 175, len(countries)
 
     populations = {}
@@ -379,9 +390,6 @@ def build_region_table(codes, rng) -> tuple[list[str], dict]:
 
 def main() -> None:
     rng = np.random.default_rng(20160211)
-    codes = parse_code_table(
-        (REPO / "src" / "disclim" / "data" / "country_codes.csv").read_text("utf-8")
-    )
 
     anomaly_rows = monthly_anomaly(rng)
     anomaly_annual = annualize(anomaly_rows)
@@ -390,7 +398,7 @@ def main() -> None:
     ]
 
     type_lines, type_stats = build_type_table(anomaly_annual, rng)
-    region_lines, region_stats = build_region_table(codes, rng)
+    region_lines, region_stats = build_region_table(load_countries(), rng)
 
     assert type_stats["rows"] == 757, type_stats["rows"]
     assert region_stats["rows"] == 6469, region_stats["rows"]

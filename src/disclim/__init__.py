@@ -14,9 +14,7 @@ The usual flow is parse -> corpus -> series -> correlate -> emit:
 from .charts import (
     ChartDocument,
     ChartKind,
-    HeatmapStyle,
     emit_chart,
-    ramp_color,
     ramp_position,
     render_heatmap_svg,
 )
@@ -43,7 +41,6 @@ from .errors import (
     ZeroVarianceError,
 )
 from .ingest import (
-    Dialect,
     RawTable,
     SchemaKind,
     coerce_records,
@@ -55,7 +52,6 @@ from .metrics import (
     NewsIntensity,
     ShareTable,
     SunburstNode,
-    death_rate,
     deaths_and_affected,
     news_intensity,
     overall_share,
@@ -70,12 +66,9 @@ from .stats import (
     METHODS,
     CorrelationMatrix,
     PairCensus,
-    SeriesPair,
     correlation_matrix,
-    is_significant,
     kendall,
     pair_census,
-    pairwise_complete,
     pearson,
     rank_average_ties,
     spearman,
@@ -92,12 +85,10 @@ __all__ = [
     "Corpus",
     "CorrelationMatrix",
     "DataError",
-    "Dialect",
     "DisasterRecord",
     "DisasterType",
     "DisclimError",
     "EmptyIntersectionError",
-    "HeatmapStyle",
     "IsoCodeTable",
     "JoinedTable",
     "METHODS",
@@ -105,7 +96,6 @@ __all__ = [
     "PairCensus",
     "RawTable",
     "SchemaKind",
-    "SeriesPair",
     "ShareTable",
     "SunburstNode",
     "TooFewPairsError",
@@ -118,12 +108,10 @@ __all__ = [
     "check_aggregate_consistency",
     "coerce_records",
     "correlation_matrix",
-    "death_rate",
     "deaths_and_affected",
     "detect_schema",
     "emit_chart",
     "integrate_on_year",
-    "is_significant",
     "kendall",
     "load_bundled_corpus",
     "load_corpus",
@@ -131,10 +119,8 @@ __all__ = [
     "news_intensity",
     "overall_share",
     "pair_census",
-    "pairwise_complete",
     "parse_delimited",
     "pearson",
-    "ramp_color",
     "ramp_position",
     "rank_average_ties",
     "region_totals",

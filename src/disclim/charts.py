@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import json
-import re
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -22,11 +21,9 @@ from .errors import (
     KindMismatchError,
     MissingIsoCodesError,
 )
-from .isocodes import load_default_codes
+from .isocodes import CODE_RE, load_default_codes
 from .metrics import ShareTable, SunburstNode
 from .stats import CorrelationMatrix
-
-_CODE_RE = re.compile(r"^[A-Z]{3}$")
 
 
 class ChartKind(enum.Enum):
@@ -87,7 +84,7 @@ def _series_payload(table: JoinedTable) -> dict:
     }
 
 
-def _timeseries(data, title, units) -> ChartDocument:
+def _timeseries(data, title, *, units: str = "") -> ChartDocument:
     table = _as_joined(data)
     return ChartDocument(
         kind=ChartKind.TIME_SERIES,
@@ -97,7 +94,7 @@ def _timeseries(data, title, units) -> ChartDocument:
     )
 
 
-def _dualaxis(data, title, secondary) -> ChartDocument:
+def _dualaxis(data, title, *, secondary: str | None = None) -> ChartDocument:
     table = _as_joined(data)
     if len(table.labels) != 2:
         raise KindMismatchError(f"dual-axis needs exactly 2 series, got {len(table.labels)}")
@@ -155,7 +152,7 @@ def _choropleth(data, title) -> ChartDocument:
     values: dict[str, float] = {}
     missing: list[str] = []
     for name in sorted(data):
-        if _CODE_RE.match(name):
+        if CODE_RE.match(name):
             code = name
         else:
             entry = load_default_codes().normalize(name)
@@ -192,6 +189,8 @@ def _heatmap(data, title) -> ChartDocument:
 
 
 _EMITTERS = {
+    ChartKind.TIME_SERIES: _timeseries,
+    ChartKind.DUAL_AXIS: _dualaxis,
     ChartKind.STACKED_AREA: _stackedarea,
     ChartKind.SUNBURST: _sunburst,
     ChartKind.CHOROPLETH: _choropleth,
@@ -199,40 +198,24 @@ _EMITTERS = {
 }
 
 
-def emit_chart(
-    kind: ChartKind | str,
-    data,
-    title: str | None = None,
-    *,
-    units: str = "",
-    secondary: str | None = None,
-) -> ChartDocument:
+def emit_chart(kind: ChartKind | str, data, title: str | None = None, **options) -> ChartDocument:
     """Build the document for *kind*; inputs must match the kind's schema.
 
-    *units* labels the y axis of a time series; *secondary* names the
-    right-hand series of a dual-axis chart, by default its second.
+    Two kinds take an option: ``units=`` labels the y axis of a time series,
+    and ``secondary=`` names the right-hand series of a dual-axis chart, by
+    default its second.  Any other option raises TypeError.
     """
     if isinstance(kind, str):
         kind = parse_chart_kind(kind)
-    if kind is ChartKind.TIME_SERIES:
-        return _timeseries(data, title, units)
-    if kind is ChartKind.DUAL_AXIS:
-        return _dualaxis(data, title, secondary)
-    return _EMITTERS[kind](data, title)
+    return _EMITTERS[kind](data, title, **options)
 
 
 # -- heatmap SVG -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeatmapStyle:
-    """Diverging ramp anchored at -1, 0, +1 plus annotation settings."""
-
-    negative: str = "#2166ac"
-    neutral: str = "#f7f7f7"
-    positive: str = "#b2182b"
-    precision: int = 2
-    cell_size: int = 52
+# the diverging ramp's colours at -1, 0 and +1, and a cell's side in pixels
+_NEGATIVE, _NEUTRAL, _POSITIVE = "#2166ac", "#f7f7f7", "#b2182b"
+_CELL = 52
 
 
 def ramp_position(value: float) -> float:
@@ -250,22 +233,15 @@ def _rgb_to_hex(rgb: tuple[int, int, int]) -> str:
     return "#%02x%02x%02x" % rgb
 
 
-def _ramp_ends(style: HeatmapStyle) -> tuple[tuple[int, int, int], ...]:
-    """The RGB of the ramp's -1, 0 and +1 colours."""
-    return tuple(_hex_to_rgb(c) for c in (style.negative, style.neutral, style.positive))
+_RAMP_ENDS = tuple(_hex_to_rgb(c) for c in (_NEGATIVE, _NEUTRAL, _POSITIVE))
 
 
-def _ramp_rgb(value: float, ends: tuple[tuple[int, int, int], ...]) -> tuple[int, int, int]:
+def _ramp_rgb(value: float) -> tuple[int, int, int]:
     """The rounded fill RGB for a coefficient: linear in each half of the ramp."""
     ramp_position(value)  # bounds check
-    negative, neutral, positive = ends
+    negative, neutral, positive = _RAMP_ENDS
     a, b, t = (negative, neutral, value + 1.0) if value < 0 else (neutral, positive, value)
     return tuple(int(round(a[i] + (b[i] - a[i]) * t)) for i in range(3))  # type: ignore[return-value]
-
-
-def ramp_color(value: float, style: HeatmapStyle = HeatmapStyle()) -> str:
-    """Interpolated fill for a coefficient: linear in each half of the ramp."""
-    return _rgb_to_hex(_ramp_rgb(value, _ramp_ends(style)))
 
 
 def _luminance(rgb: tuple[int, int, int]) -> float:
@@ -273,13 +249,12 @@ def _luminance(rgb: tuple[int, int, int]) -> float:
     return 0.2126 * r + 0.7152 * g + 0.0722 * b
 
 
-def render_heatmap_svg(matrix: CorrelationMatrix, style: HeatmapStyle = HeatmapStyle()) -> bytes:
+def render_heatmap_svg(matrix: CorrelationMatrix) -> bytes:
     """Standalone SVG: one annotated cell per pair, hatch for undefined."""
     if matrix.size == 0:
         raise EmptyMatrixError("matrix has no series")
     k = matrix.size
-    cell = style.cell_size
-    ends = _ramp_ends(style)
+    cell = _CELL
     left, top = 190, 150
     legend_w, pad = 60, 20
     width = left + k * cell + legend_w + pad
@@ -295,9 +270,9 @@ def render_heatmap_svg(matrix: CorrelationMatrix, style: HeatmapStyle = HeatmapS
         '<line x1="0" y1="0" x2="0" y2="8" stroke="#9a9a9a" stroke-width="2"/>'
         "</pattern>",
         '<linearGradient id="ramp" x1="0" y1="1" x2="0" y2="0">'
-        f'<stop offset="0" stop-color="{style.negative}"/>'
-        f'<stop offset="0.5" stop-color="{style.neutral}"/>'
-        f'<stop offset="1" stop-color="{style.positive}"/>'
+        f'<stop offset="0" stop-color="{_NEGATIVE}"/>'
+        f'<stop offset="0.5" stop-color="{_NEUTRAL}"/>'
+        f'<stop offset="1" stop-color="{_POSITIVE}"/>'
         "</linearGradient>",
         "</defs>",
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
@@ -330,7 +305,7 @@ def render_heatmap_svg(matrix: CorrelationMatrix, style: HeatmapStyle = HeatmapS
                     f'fill="url(#undef)" stroke="#ffffff"/>'
                 )
                 continue
-            rgb = _ramp_rgb(value, ends)
+            rgb = _ramp_rgb(value)
             fill = _rgb_to_hex(rgb)
             text_fill = "#111111" if _luminance(rgb) > 140 else "#ffffff"
             parts.append(
@@ -340,7 +315,7 @@ def render_heatmap_svg(matrix: CorrelationMatrix, style: HeatmapStyle = HeatmapS
             parts.append(
                 f'<text x="{x + cell // 2}" y="{y + cell // 2 + 4}" '
                 f'font-family="sans-serif" font-size="11" fill="{text_fill}" '
-                f'text-anchor="middle">{value:.{style.precision}f}</text>'
+                f'text-anchor="middle">{value:.2f}</text>'
             )
 
     bar_x = left + k * cell + pad

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import charts, metrics, stats
 from .corpus import (
+    DEFAULT_NULL_THRESHOLD,
     Corpus,
     align_union,
     build_corpus,
@@ -32,6 +33,16 @@ from .records import DisasterType, parse_disaster_type
 CORPUS_ENV = "DISCLIM_CORPUS_DIR"
 
 _AGAINST = {"occurrence": "count", "damage": "economic_damage"}
+
+# the chart flags each kind reads; another of them on the command line is an error
+_CHART_FLAGS = {
+    charts.ChartKind.TIME_SERIES: ("series",),
+    charts.ChartKind.DUAL_AXIS: ("left", "right"),
+    charts.ChartKind.STACKED_AREA: ("measure",),
+    charts.ChartKind.CHOROPLETH: ("measure", "year"),
+    charts.ChartKind.HEATMAP: ("method", "against"),
+    charts.ChartKind.SUNBURST: (),
+}
 
 
 class UsageError(Exception):
@@ -55,7 +66,7 @@ class RunConfig:
     method: str = "pearson"
     against: str = "occurrence"
     significance: float = stats.DEFAULT_SIGNIFICANCE
-    null_threshold: float = 0.30
+    null_threshold: float = DEFAULT_NULL_THRESHOLD
     tab: bool = False
 
     def __post_init__(self):
@@ -268,6 +279,10 @@ def _build_chart(corpus: Corpus, args, config: RunConfig) -> charts.ChartDocumen
 
 
 def _cmd_chart(args) -> int:
+    kind = charts.parse_chart_kind(args.kind)
+    for name in dict.fromkeys(name for names in _CHART_FLAGS.values() for name in names):
+        if getattr(args, name) is not None and name not in _CHART_FLAGS[kind]:
+            raise UsageError(f"--{name} does not apply to --kind {kind.value}")
     config = _resolve_config(args)
     corpus = _resolve_corpus(config, args)
     doc = _build_chart(corpus, args, config)
@@ -358,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--tab", action="store_true", default=None,
                         help="sources are tab-delimited")
     ingest.add_argument("--null-threshold", dest="null_threshold", type=float,
-                        help="drop columns at this null fraction (default 0.30)")
+                        help="drop columns at this null fraction "
+                             f"(default {DEFAULT_NULL_THRESHOLD:.2f})")
     _add_common(ingest)
 
     corr = commands.add_parser("corr", help="correlation matrix + heatmap")

@@ -57,9 +57,6 @@ class AnnualSeries:
             if v != v or v in (float("inf"), float("-inf")):
                 raise DataError(f"{self.label}: non-finite value")
 
-    def __len__(self) -> int:
-        return len(self.years)
-
     def get(self, year: int) -> float | None:
         # series are short (decades), linear scan is fine
         for y, v in zip(self.years, self.values):
@@ -98,9 +95,6 @@ class JoinedTable:
             return self.columns[self.labels.index(label)]
         except ValueError:
             raise UnknownSelectorError(f"no series labelled {label!r}") from None
-
-    def is_complete(self) -> bool:
-        return all(v is not None for col in self.columns for v in col)
 
 
 def integrate_on_year(seriess: Sequence[AnnualSeries]) -> JoinedTable:
@@ -226,7 +220,7 @@ class Corpus:
     def _known_measures(self, selector) -> list[str]:
         records = self.type_records if isinstance(selector, DisasterType) else self.region_records
         seen = {m for rec in records for m, v in rec.measures.items() if v is not None}
-        return sorted(seen, key=lambda m: (MEASURES.index(m) if m in MEASURES else 99, m))
+        return _in_presentation_order(seen)
 
     def anomaly_series(self) -> AnnualSeries:
         if not self.anomaly_records:
@@ -306,9 +300,9 @@ _NUMBER_KEYS = frozenset({"year", "month", "anomaly"})  # measure columns are nu
 _NOT_WRITTEN = re.compile(r"[_\s]")
 
 
-def _measure_columns(records) -> list[str]:
-    seen = {m for rec in records for m in rec.measures}
-    return sorted(seen, key=lambda m: (MEASURES.index(m) if m in MEASURES else 99, m))
+def _in_presentation_order(measures) -> list[str]:
+    """Measure names in ``MEASURES`` order, any others after them by name."""
+    return sorted(measures, key=lambda m: (MEASURES.index(m) if m in MEASURES else 99, m))
 
 
 def _flag(cell: str) -> bool:
@@ -376,7 +370,8 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> Path:
         records = getattr(corpus, stored.field)
         if not records:
             continue
-        measures = _measure_columns(records) if stored.measured else []
+        present = {m for rec in records for m in rec.measures} if stored.measured else ()
+        measures = _in_presentation_order(present)
         # a generator, so that each row is freed once written and a save
         # triggers no garbage collection
         rows = (stored.cells(rec) + [rec.measures.get(m) for m in measures] for rec in records)
@@ -423,7 +418,7 @@ def _read_table(stored: _Stored, path: Path, payload: bytes) -> tuple:
 def _read_manifest(path: Path) -> dict:
     """The manifest at *path*, its shape checked before any table is read."""
     if not path.exists():
-        raise ManifestMissingError(str(path))
+        raise ManifestMissingError(f"{path}: manifest missing")
     try:
         manifest = json.loads(path.read_text("utf-8"))
     except (OSError, ValueError) as exc:

@@ -98,10 +98,6 @@ class DigestMismatchError(DataError):
     pass
 
 
-class ZeroPopulationError(DataError):
-    pass
-
-
 class KindMismatchError(DataError):
     pass
 

@@ -38,13 +38,8 @@ from .records import (
 )
 
 
-@dataclass(frozen=True)
-class Dialect:
-    delimiter: str = ","
-
-
-COMMA = Dialect(",")
-TAB = Dialect("\t")
+COMMA = ","
+TAB = "\t"
 
 NULL_TOKENS = frozenset({"", "na", "null"})
 
@@ -90,7 +85,7 @@ class RawTable:
     rows: tuple[tuple[str, ...], ...]
     source_path: str = "<memory>"
 
-    def serialize(self, dialect: Dialect = COMMA) -> str:
+    def serialize(self, delimiter: str = COMMA) -> str:
         """Render back to delimited text; cell content round-trips exactly.
 
         Cells may also be raw values: ``None`` renders as an empty cell and
@@ -100,9 +95,7 @@ class RawTable:
         # A single empty cell would otherwise serialize to a blank line,
         # which the parser treats as no row at all.
         quoting = csv.QUOTE_ALL if len(self.header) == 1 else csv.QUOTE_MINIMAL
-        writer = csv.writer(
-            out, delimiter=dialect.delimiter, lineterminator="\n", quoting=quoting
-        )
+        writer = csv.writer(out, delimiter=delimiter, lineterminator="\n", quoting=quoting)
         writer.writerow(self.header)
         writer.writerows(self.rows)
         return out.getvalue()
@@ -117,7 +110,7 @@ class RawTable:
 
 def parse_delimited(
     data: bytes | str,
-    dialect: Dialect = COMMA,
+    delimiter: str = COMMA,
     source_path: str = "<memory>",
 ) -> RawTable:
     """Parse headered delimited text into a RawTable.
@@ -136,7 +129,7 @@ def parse_delimited(
     else:
         text = data
 
-    reader = csv.reader(io.StringIO(text), delimiter=dialect.delimiter)
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     try:
         # a blank first line makes an empty header, which every row after it
         # is ragged against; blank lines alone are no content at all

@@ -16,7 +16,7 @@ from importlib import resources
 
 from .errors import DataError
 
-_CODE_RE = re.compile(r"^[A-Z]{3}$")
+CODE_RE = re.compile(r"^[A-Z]{3}$")
 
 
 def _key(name: str) -> str:
@@ -38,7 +38,7 @@ class IsoCodeTable:
         self._by_code: dict[str, NormalizedEntity] = {}
         for entry in entries:
             if entry.code is not None:
-                if not _CODE_RE.match(entry.code):
+                if not CODE_RE.match(entry.code):
                     raise DataError(f"bad ISO code {entry.code!r} for {entry.canonical}")
                 if entry.code in self._by_code:
                     raise DataError(f"duplicate ISO code {entry.code}")
@@ -62,17 +62,6 @@ class IsoCodeTable:
         if entry is not None:
             return entry
         return self._by_code.get(name.strip().upper())
-
-    def countries(self) -> list[NormalizedEntity]:
-        """All non-aggregate entries, sorted by canonical name."""
-        seen = sorted(
-            {e.canonical: e for e in self._by_key.values() if not e.aggregate}.values(),
-            key=lambda e: e.canonical,
-        )
-        return seen
-
-    def __len__(self) -> int:
-        return len({id(e) for e in self._by_key.values()})
 
 
 def parse_code_table(text: str) -> IsoCodeTable:

@@ -1,6 +1,6 @@
-"""Derived quantities: death rates, share-of-total tables, the
-deaths-within-affected hierarchy, news-coverage intensity, and the
-per-type and per-region totals behind the sunburst and choropleth.
+"""Derived quantities: share-of-total tables, the deaths-within-affected
+hierarchy, news-coverage intensity, and the per-type and per-region
+totals behind the sunburst and choropleth.
 
 Corpus readers take every sum from `corpus.annual_totals`; the rest are
 pure functions over plain mappings.
@@ -13,19 +13,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .corpus import BY_TYPE, Corpus, annual_totals
-from .errors import DataError, NegativeValueError, ZeroPopulationError
+from .errors import DataError, NegativeValueError
 from .records import DisasterType
 
 SHARE_SUM_TOL = 1e-9
-
-
-def death_rate(deaths: float, population: float) -> float:
-    """Deaths per 100,000 population."""
-    if deaths < 0:
-        raise NegativeValueError(f"negative deaths: {deaths!r}")
-    if population <= 0:
-        raise ZeroPopulationError(f"population must be positive, got {population!r}")
-    return deaths / population * 100_000.0
 
 
 def share_of_total(values: Mapping[str, float]) -> dict[str, float]:
@@ -70,9 +61,6 @@ class ShareTable:
 
     def row(self, year: int) -> dict[str, float]:
         return dict(self.shares[year])
-
-    def series(self, label: str) -> tuple[float, ...]:
-        return tuple(self.shares[year][label] for year in self.years)
 
 
 def shares_by_group(per_year: Mapping[int, Mapping[str, float]]) -> ShareTable:
@@ -160,26 +148,6 @@ class SunburstNode:
             raise DataError(f"{self.label}: non-finite value")
         if self.value < 0:
             raise NegativeValueError(f"{self.label}: negative value")
-
-    def depth(self) -> int:
-        return 1 + max((c.depth() for c in self.children), default=0)
-
-    def child(self, label: str) -> "SunburstNode":
-        for c in self.children:
-            if c.label == label:
-                return c
-        raise KeyError(label)
-
-
-def containment_violations(node: SunburstNode) -> list[str]:
-    """Nodes whose children sum past the parent (slack is legitimate)."""
-    problems = []
-    child_sum = sum(c.value for c in node.children)
-    if node.children and child_sum > node.value:
-        problems.append(f"{node.label}: children sum {child_sum!r} exceeds {node.value!r}")
-    for c in node.children:
-        problems.extend(containment_violations(c))
-    return problems
 
 
 def sunburst_deaths_affected(

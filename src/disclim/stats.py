@@ -30,51 +30,20 @@ MIN_PAIRS = 3
 DEFAULT_SIGNIFICANCE = 0.8
 
 
-@dataclass(frozen=True)
-class SeriesPair:
-    """Two equal-length, fully defined value sequences."""
-
-    x: tuple[float, ...]
-    y: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise DataError(f"pair length mismatch: {len(self.x)} vs {len(self.y)}")
-        if len(self.x) < 2:
-            raise TooFewPairsError(len(self.x), 2)
-        for v in self.x + self.y:
-            if not math.isfinite(v):
-                raise DataError(f"non-finite value in pair: {v!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-
 def _present(column: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray]:
     """A column as float64 values (None as nan) plus its presence mask."""
     mask = np.fromiter((v is not None for v in column), dtype=bool, count=len(column))
     return np.array(column, dtype=float), mask
 
 
-def _complete(x, y, minimum: int) -> tuple[np.ndarray, np.ndarray]:
+def _complete(x, y) -> tuple[np.ndarray, np.ndarray]:
     """The values of two ``_present`` columns where both are present."""
     (ax, mx), (ay, my) = x, y
     both = mx & my
     n = int(np.count_nonzero(both))
-    if n < minimum:
-        raise TooFewPairsError(n, minimum)
+    if n < MIN_PAIRS:
+        raise TooFewPairsError(n, MIN_PAIRS)
     return ax[both], ay[both]
-
-
-def pairwise_complete(
-    x: Sequence[float | None], y: Sequence[float | None], minimum: int = MIN_PAIRS
-) -> SeriesPair:
-    """Keep exactly the positions where both values are present."""
-    if len(x) != len(y):
-        raise DataError(f"series length mismatch: {len(x)} vs {len(y)}")
-    ax, ay = _complete(_present(x), _present(y), minimum)
-    return SeriesPair(x=tuple(ax.tolist()), y=tuple(ay.tolist()))
 
 
 def _as_checked_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -229,11 +198,6 @@ def kendall(x: Sequence[float], y: Sequence[float], variant: str = "tau-a") -> f
     return _clamp(surplus / math.sqrt(denom))
 
 
-def is_significant(r: float, threshold: float = DEFAULT_SIGNIFICANCE) -> bool:
-    """The magnitude rule: |r| at or above the threshold counts."""
-    return abs(r) >= threshold
-
-
 METHODS = ("pearson", "spearman", "kendall-tau-a", "kendall-tau-b")
 
 METHOD_ALIASES = {
@@ -323,7 +287,7 @@ class CorrelationMatrix:
         for i in range(self.size):
             for j in range(i + 1, self.size):
                 v = self.values[i][j]
-                if v is not None and is_significant(v, threshold):
+                if v is not None and abs(v) >= threshold:
                     hits.append((self.labels[i], self.labels[j], v))
         hits.sort(key=lambda item: (-abs(item[2]), item[0], item[1]))
         return hits
@@ -333,8 +297,8 @@ def correlation_matrix(table: JoinedTable, method: str = "pearson") -> Correlati
     """Coefficient for every unordered column pair after pairwise completion.
 
     Each column becomes a float64 array and a presence mask once per call;
-    a pair is completed by ANDing the two masks, the rule
-    ``pairwise_complete`` uses.  Exactly one estimator call is issued per
+    a pair is completed by ANDing the two masks, keeping exactly the years
+    where both series have a value.  Exactly one estimator call is issued per
     pair with at least MIN_PAIRS complete values; the (j, i) mirror is
     copied, and the diagonal is set (not computed) to 1 where the column
     has at least MIN_PAIRS defined values and is not constant.
@@ -362,7 +326,7 @@ def correlation_matrix(table: JoinedTable, method: str = "pearson") -> Correlati
     for i in range(k):
         for j in range(i + 1, k):
             try:
-                x, y = _complete(present[i], present[j], MIN_PAIRS)
+                x, y = _complete(present[i], present[j])
             except TooFewPairsError as exc:
                 counts[i][j] = counts[j][i] = exc.n
                 reasons[(i, j)] = reasons[(j, i)] = str(exc)

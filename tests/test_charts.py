@@ -7,10 +7,8 @@ from disclim import charts as charts_module
 from disclim.charts import (
     ChartDocument,
     ChartKind,
-    HeatmapStyle,
     emit_chart,
     parse_chart_kind,
-    ramp_color,
     ramp_position,
     render_heatmap_svg,
 )
@@ -121,6 +119,11 @@ def test_unknown_option_raises():
         emit_chart("choropleth", {"IND": 4.0}, year=2016)
 
 
+def test_option_of_another_kind_raises():
+    with pytest.raises(TypeError, match="units"):
+        emit_chart("stackedarea", shares_by_group({2001: {"a": 1.0}}), units="events")
+
+
 class TestStackedArea:
     def test_payload_row_order(self):
         table = shares_by_group(
@@ -205,6 +208,12 @@ class TestHeatmapDocument:
             emit_chart("heatmap", [[1.0]])
 
 
+def _cell_fills(svg: str) -> list[str]:
+    """The fill of each matrix cell, row by row."""
+    return [line.split('fill="')[1].split('"')[0]
+            for line in svg.splitlines() if line.startswith('<rect x="') and "#ramp" not in line]
+
+
 class TestRamp:
     def test_position_endpoints(self):
         assert ramp_position(-1.0) == 0.0
@@ -224,16 +233,26 @@ class TestRamp:
             ramp_position(-1.0001)
 
     def test_color_anchors(self):
-        style = HeatmapStyle()
-        assert ramp_color(-1.0, style) == style.negative
-        assert ramp_color(0.0, style) == style.neutral
-        assert ramp_color(1.0, style) == style.positive
+        matrix = CorrelationMatrix(
+            ("a", "b", "c"),
+            ((1.0, -1.0, 0.0), (-1.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+            ((3, 3, 3), (3, 3, 3), (3, 3, 3)),
+            "pearson",
+        )
+        cells = _cell_fills(render_heatmap_svg(matrix).decode())
+        negative, neutral, positive = "#2166ac", "#f7f7f7", "#b2182b"
+        assert cells == [positive, negative, neutral,
+                         negative, positive, neutral,
+                         neutral, neutral, positive]
 
     def test_color_is_valid_hex_everywhere(self):
         for i in range(-10, 11):
-            color = ramp_color(i / 10.0)
-            assert len(color) == 7 and color.startswith("#")
-            int(color[1:], 16)
+            r = i / 10.0
+            matrix = CorrelationMatrix(("a", "b"), ((1.0, r), (r, 1.0)), ((3, 3), (3, 3)),
+                                       "pearson")
+            for color in _cell_fills(render_heatmap_svg(matrix).decode()):
+                assert len(color) == 7 and color.startswith("#")
+                int(color[1:], 16)
 
 
 class TestHeatmapSvg:
@@ -306,6 +325,7 @@ class TestHeatmapSvg:
             render_heatmap_svg(empty)
 
     def test_style_precision(self):
-        style = HeatmapStyle(precision=3)
-        svg = render_heatmap_svg(_small_matrix(), style).decode()
-        assert "1.000" in svg
+        svg = render_heatmap_svg(_small_matrix()).decode()
+        annotations = [line.rsplit(">", 2)[-2].removesuffix("</text")
+                       for line in svg.splitlines() if 'text-anchor="middle"' in line]
+        assert annotations and all(len(a.rpartition(".")[2]) == 2 for a in annotations)

@@ -129,6 +129,13 @@ def test_malformed_manifest_is_data_error(bundled_dir, tmp_path, capsys, edit):
     assert err[0].startswith("disclim: ") and "manifest.json" in err[0]
 
 
+def test_missing_manifest_says_so(tmp_path, capsys):
+    assert main(["corr", "--corpus", str(tmp_path / "nowhere"), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("disclim: ") and "manifest.json" in err[0] and "missing" in err[0]
+
+
 def test_directory_as_table_file_is_data_error(bundled_dir, tmp_path, capsys):
     corpus_dir = shutil.copytree(bundled_dir, tmp_path / "corpus")
     (corpus_dir / "sub").mkdir()
@@ -370,6 +377,27 @@ class TestChart:
     def test_unknown_kind(self, tmp_path, capsys):
         assert main(["chart", "--kind", "scatter", "--out", str(tmp_path)]) == 1
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("sunburst", "--measure", "deaths"),
+        ("timeseries", "--left", "anomaly"),
+        ("dualaxis", "--series", "anomaly"),
+        ("stackedarea", "--year", "2000"),
+        ("choropleth", "--method", "spearman"),
+        ("heatmap", "--right", "anomaly"),
+        ("heatmap", "--measure", "deaths"),
+        ("sunburst", "--against", "damage"),
+    ])
+    def test_flag_the_kind_does_not_read(self, tmp_path, capsys, kind, flag, value):
+        assert main(["chart", "--kind", kind, flag, value, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"disclim: {flag} does not apply to --kind {kind}\n"
+        assert not (tmp_path / f"{kind}.chart").exists()
+
+    def test_config_keys_are_not_flags(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"method": "spearman", "against": "damage"}))
+        assert main(["chart", "--kind", "sunburst", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
 
 
 class TestReport:

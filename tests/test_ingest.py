@@ -26,7 +26,6 @@ from disclim.ingest import (
     NULL_TOKENS,
     TAB,
     CoercionResult,
-    Dialect,
     RawTable,
     RowError,
     SchemaKind,
@@ -136,10 +135,10 @@ class TestParse:
         ), max_size=30).map("".join),
         st.sampled_from([COMMA, TAB]),
     )
-    def test_matches_the_two_pass_parser(self, header, body, dialect):
+    def test_matches_the_two_pass_parser(self, header, body, delimiter):
         text = header + body
-        expected = _outcome(_two_pass_parse, text, dialect)
-        got = _outcome(parse_delimited, text, dialect)
+        expected = _outcome(_two_pass_parse, text, delimiter)
+        got = _outcome(parse_delimited, text, delimiter)
         if expected[0] == "csv.Error":
             # the two-pass parser let the reader's error escape; this one
             # stops at the first fault it meets and always raises a ParseError
@@ -154,7 +153,7 @@ class TestParse:
             table.column_index("CODE")
 
 
-def _two_pass_parse(data, dialect=COMMA, source_path="<memory>"):
+def _two_pass_parse(data, delimiter=COMMA, source_path="<memory>"):
     """The parser as it was before rows were built straight from the reader.
 
     Kept verbatim as the oracle for ``parse_delimited``: it held every row
@@ -168,7 +167,7 @@ def _two_pass_parse(data, dialect=COMMA, source_path="<memory>"):
     else:
         text = data
 
-    reader = csv.reader(io.StringIO(text), delimiter=dialect.delimiter)
+    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     raw: list[tuple[list[str], int]] = []
     for row in reader:
         raw.append((row, reader.line_num))
@@ -195,9 +194,9 @@ def _two_pass_parse(data, dialect=COMMA, source_path="<memory>"):
     return RawTable(header=header, rows=tuple(rows), source_path=source_path)
 
 
-def _outcome(parse, text: str, dialect: Dialect) -> tuple:
+def _outcome(parse, text: str, delimiter: str) -> tuple:
     try:
-        table = parse(text, dialect)
+        table = parse(text, delimiter)
     except csv.Error:
         return ("csv.Error",)
     except DataError as exc:

@@ -3,13 +3,11 @@ import math
 import pytest
 
 from disclim.corpus import build_corpus
-from disclim.errors import DataError, NegativeValueError, ZeroPopulationError
+from disclim.errors import DataError, NegativeValueError
 from disclim.metrics import (
     NewsIntensity,
     ShareTable,
     SunburstNode,
-    containment_violations,
-    death_rate,
     intensity_ratio,
     news_intensity,
     overall_share,
@@ -20,36 +18,6 @@ from disclim.metrics import (
 )
 from disclim.ingest import parse_delimited
 from disclim.records import DisasterType
-
-
-class TestDeathRate:
-    def test_unit_population_block(self):
-        assert death_rate(50, 100_000) == 50.0
-
-    def test_zero_deaths(self):
-        assert death_rate(0, 1_000_000) == 0.0
-
-    def test_reproduces_source_rate_cell(self):
-        # the published rate is rounded from a slightly different population
-        # snapshot; direct division lands within a tenth of a basis point
-        rate = death_rate(1734.947159, 1.21043e9)
-        assert rate == pytest.approx(0.143342, abs=1e-4)
-        assert rate == pytest.approx(0.1433331261617772, abs=1e-12)
-
-    def test_homogeneous_in_scale(self):
-        base = death_rate(123.4, 9_876_543)
-        scaled = death_rate(123.4 * 7, 9_876_543 * 7)
-        assert scaled == pytest.approx(base, abs=1e-12)
-
-    def test_zero_population(self):
-        with pytest.raises(ZeroPopulationError):
-            death_rate(5, 0)
-        with pytest.raises(ZeroPopulationError):
-            death_rate(5, -10)
-
-    def test_negative_deaths(self):
-        with pytest.raises(NegativeValueError):
-            death_rate(-1, 1000)
 
 
 class TestShareOfTotal:
@@ -85,10 +53,6 @@ class TestSharesByGroup:
     def test_missing_label_is_zero(self):
         table = shares_by_group(self.per_year)
         assert table.row(2003) == {"a": 0.0, "b": 1.0}
-
-    def test_series_follows_year_order(self):
-        table = shares_by_group(self.per_year)
-        assert table.series("b") == (0.75, 0.0, 1.0)
 
     def test_row_returns_a_copy(self):
         table = shares_by_group(self.per_year)
@@ -177,23 +141,24 @@ class TestSunburst:
         assert warnings == []
         assert root.label == "All natural disasters"
         assert root.value == 36917037.0
-        flood = root.child("Flood")
-        assert flood.value == 36917037.0
-        assert flood.child("deaths").value == 4648.0
-        assert root.depth() == 3
+        (flood,) = root.children
+        assert (flood.label, flood.value) == ("Flood", 36917037.0)
+        assert flood.children == (SunburstNode("deaths", 4648.0),)
 
     def test_root_sums_children(self):
         root, _ = sunburst_deaths_affected(
             {"Flood": 10.0, "Drought": 5.0}, {"Flood": 100.0, "Drought": 50.0}
         )
         assert root.value == 150.0
-        assert containment_violations(root) == []
+        assert all(sum(c.value for c in node.children) <= node.value
+                   for node in (root,) + root.children)
 
     def test_deaths_past_affected_warns_without_clamping(self):
         root, warnings = sunburst_deaths_affected({"Drought": 80.0}, {"Drought": 30.0})
         assert len(warnings) == 1 and "Drought" in warnings[0]
-        assert root.child("Drought").child("deaths").value == 80.0
-        assert containment_violations(root) != []
+        (drought,) = root.children
+        assert drought.value == 30.0
+        assert drought.children == (SunburstNode("deaths", 80.0),)
 
     def test_all_zero_tree(self):
         root, warnings = sunburst_deaths_affected({"Flood": 0.0}, {"Flood": 0.0})
@@ -211,14 +176,6 @@ class TestSunburst:
             SunburstNode("x", -1.0)
         with pytest.raises(DataError):
             SunburstNode("x", math.nan)
-        with pytest.raises(KeyError):
-            SunburstNode("x", 1.0).child("missing")
-
-    def test_containment_checks_every_level(self):
-        inner = SunburstNode("inner", 5.0, (SunburstNode("leaf", 9.0),))
-        root = SunburstNode("root", 100.0, (inner,))
-        problems = containment_violations(root)
-        assert len(problems) == 1 and "inner" in problems[0]
 
 
 class TestNewsIntensity:

@@ -8,19 +8,13 @@ from disclim.charts import emit_chart, ramp_position
 from disclim.corpus import AnnualSeries, JoinedTable, align_union, integrate_on_year
 from disclim.errors import EmptyIntersectionError, TooFewPairsError, ZeroVarianceError
 from disclim.ingest import COMMA, TAB, RawTable, parse_delimited
-from disclim.metrics import (
-    containment_violations,
-    news_intensity,
-    shares_by_group,
-    sunburst_deaths_affected,
-)
+from disclim.metrics import news_intensity, shares_by_group, sunburst_deaths_affected
 from disclim.stats import (
     MIN_PAIRS,
     METHODS,
     correlation_matrix,
     kendall,
     pair_census,
-    pairwise_complete,
     pearson,
     rank_average_ties,
     spearman,
@@ -132,30 +126,6 @@ class TestCensusAndRanks:
 
 
 @st.composite
-def gappy_pair(draw):
-    """Two equal-length lists with None gaps but at least 3 complete positions."""
-    n = draw(st.integers(min_value=3, max_value=30))
-    cells = st.one_of(st.none(), tame_floats)
-    x = draw(st.lists(cells, min_size=n, max_size=n))
-    y = draw(st.lists(cells, min_size=n, max_size=n))
-    for i in draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)):
-        if x[i] is None:
-            x[i] = draw(tame_floats)
-        if y[i] is None:
-            y[i] = draw(tame_floats)
-    return x, y
-
-
-class TestPairwiseComplete:
-    @given(gappy_pair())
-    def test_matches_zip_oracle(self, xy):
-        x, y = xy
-        expected = [(a, b) for a, b in zip(x, y) if a is not None and b is not None]
-        pair = pairwise_complete(x, y)
-        assert list(zip(pair.x, pair.y)) == expected
-
-
-@st.composite
 def gappy_tables(draw):
     """Tie-heavy columns with gaps, some constant, some with fewer than 3 values."""
     n = draw(st.integers(min_value=0, max_value=25))
@@ -181,8 +151,16 @@ _ESTIMATORS = {
 }
 
 
+def _pairwise_complete(x, y):
+    """Keep exactly the positions where both values are present."""
+    kept = [(a, b) for a, b in zip(x, y) if a is not None and b is not None]
+    if len(kept) < MIN_PAIRS:
+        raise TooFewPairsError(len(kept), MIN_PAIRS)
+    return tuple(a for a, _ in kept), tuple(b for _, b in kept)
+
+
 def _matrix_by_pairs(table, method):
-    """values, counts and reasons from pairwise_complete and the estimator."""
+    """values, counts and reasons from _pairwise_complete and the estimator."""
     k = len(table.columns)
     values = [[None] * k for _ in range(k)]
     counts = [[0] * k for _ in range(k)]
@@ -199,9 +177,9 @@ def _matrix_by_pairs(table, method):
     for i in range(k):
         for j in range(i + 1, k):
             try:
-                pair = pairwise_complete(table.columns[i], table.columns[j])
-                counts[i][j] = counts[j][i] = pair.n
-                values[i][j] = values[j][i] = _ESTIMATORS[method](pair.x, pair.y)
+                x, y = _pairwise_complete(table.columns[i], table.columns[j])
+                counts[i][j] = counts[j][i] = len(x)
+                values[i][j] = values[j][i] = _ESTIMATORS[method](x, y)
             except (TooFewPairsError, ZeroVarianceError) as exc:
                 if isinstance(exc, TooFewPairsError):
                     counts[i][j] = counts[j][i] = exc.n
@@ -237,7 +215,7 @@ class TestJoins:
             return
         joined = integrate_on_year([a, b])
         assert joined.years == tuple(sorted(common))
-        assert joined.is_complete()
+        assert all(v is not None for column in joined.columns for v in column)
 
     @given(years_strategy, years_strategy)
     def test_outer_is_sorted_union(self, years_a, years_b):
@@ -329,10 +307,21 @@ class TestRoundTrip:
             )
         )
         table = RawTable(header=tuple(header), rows=tuple(rows))
-        for dialect in (COMMA, TAB):
-            again = parse_delimited(table.serialize(dialect), dialect)
+        for delimiter in (COMMA, TAB):
+            again = parse_delimited(table.serialize(delimiter), delimiter)
             assert again.header == table.header
             assert again.rows == table.rows
+
+
+def _containment_violations(node) -> list[str]:
+    """Nodes whose children sum past the parent (slack is legitimate)."""
+    problems = []
+    child_sum = sum(c.value for c in node.children)
+    if node.children and child_sum > node.value:
+        problems.append(f"{node.label}: children sum {child_sum!r} exceeds {node.value!r}")
+    for c in node.children:
+        problems.extend(_containment_violations(c))
+    return problems
 
 
 class TestHierarchy:
@@ -347,7 +336,7 @@ class TestHierarchy:
     def test_contained_when_deaths_under_affected(self, deaths, headroom):
         affected = {label: value * headroom + 1.0 for label, value in deaths.items()}
         root, warnings = sunburst_deaths_affected(deaths, affected)
-        assert containment_violations(root) == []
+        assert _containment_violations(root) == []
         assert warnings == []
         assert root.value == pytest.approx(sum(affected.values()))
 

@@ -16,13 +16,10 @@ from disclim.stats import (
     METHODS,
     CorrelationMatrix,
     PairCensus,
-    SeriesPair,
     correlation_matrix,
-    is_significant,
     kendall,
     normalize_method,
     pair_census,
-    pairwise_complete,
     pearson,
     rank_average_ties,
     spearman,
@@ -255,36 +252,28 @@ class TestAgainstLoops:
         assert rank_average_ties([]) == ()
 
 
+def _two_columns(x, y) -> JoinedTable:
+    return JoinedTable(years=tuple(range(len(x))), labels=("x", "y"), columns=(x, y))
+
+
 class TestPairwiseComplete:
     def test_drops_positions_with_any_none(self):
-        pair = pairwise_complete([1, None, 3, 4], [10, 20, None, 40], minimum=2)
-        assert pair.x == (1.0, 4.0)
-        assert pair.y == (10.0, 40.0)
-        assert pair.n == 2
-
-    def test_minimum_enforced(self):
-        with pytest.raises(TooFewPairsError) as err:
-            pairwise_complete([1, None, 3], [10, 20, None])
-        assert err.value.n == 1
+        x, y = (1.0, None, 3.0, 4.0, 2.0), (10.0, 20.0, None, 40.0, 50.0)
+        m = correlation_matrix(_two_columns(x, y))
+        assert m.counts[0][1] == 3
+        assert m.cell("x", "y") == pearson([1.0, 4.0, 2.0], [10.0, 40.0, 50.0])
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
-            pairwise_complete([1, 2], [1, 2, 3])
+            _two_columns((1.0, 2.0), (1.0, 2.0, 3.0))
 
     def test_default_minimum_is_three(self):
-        with pytest.raises(TooFewPairsError) as err:
-            pairwise_complete([1, None, 3, 4], [10, 20, None, 40])
-        assert err.value.n == 2
-
-
-class TestSeriesPair:
-    def test_validation(self):
-        with pytest.raises(DataError):
-            SeriesPair((1.0, 2.0), (1.0,))
-        with pytest.raises(TooFewPairsError):
-            SeriesPair((1.0,), (2.0,))
-        with pytest.raises(DataError):
-            SeriesPair((1.0, math.inf), (1.0, 2.0))
+        m = correlation_matrix(_two_columns((1.0, None, 3.0, 4.0), (10.0, 20.0, None, 40.0)))
+        assert m.values[0][1] is None
+        assert m.counts[0][1] == 2
+        assert m.reasons[(0, 1)] == str(TooFewPairsError(2, 3))
+        three = correlation_matrix(_two_columns((1.0, 2.0, 3.0, 4.0), (10.0, 20.0, None, 40.0)))
+        assert three.values[0][1] is not None
 
 
 class TestMethodNames:
@@ -302,17 +291,22 @@ class TestMethodNames:
         assert all(normalize_method(m) == m for m in METHODS)
 
 
+def _is_significant(r: float, **threshold) -> bool:
+    m = CorrelationMatrix(("a", "b"), ((1.0, r), (r, 1.0)), ((3, 3), (3, 3)), "pearson")
+    return m.significant_pairs(**threshold) == [("a", "b", r)]
+
+
 class TestSignificance:
     def test_magnitude_rule(self):
-        assert is_significant(0.865128)
-        assert is_significant(-0.81)
-        assert is_significant(0.8)
-        assert not is_significant(0.79)
-        assert not is_significant(-0.799)
+        assert _is_significant(0.865128)
+        assert _is_significant(-0.81)
+        assert _is_significant(0.8)
+        assert not _is_significant(0.79)
+        assert not _is_significant(-0.799)
 
     def test_custom_threshold(self):
-        assert is_significant(0.5, threshold=0.5)
-        assert not is_significant(0.49, threshold=0.5)
+        assert _is_significant(0.5, threshold=0.5)
+        assert not _is_significant(0.49, threshold=0.5)
 
 
 def _gapped_table() -> JoinedTable:
