@@ -26,14 +26,11 @@ with tempfile.TemporaryDirectory() as scratch:
           len(again.type_records), "type,", len(again.anomaly_records), "anomaly")
     assert again.anomaly_series().values == corpus.anomaly_series().values
 
-# the dual-axis document overlays raw counts with the anomaly curve
+# the dual-axis document overlays raw counts with the anomaly curve, which as
+# the table's second column goes on the right-hand axis
 counts = corpus.build_series("all-disasters", "count")
 anomaly = corpus.anomaly_series()
-overlay = disclim.emit_chart(
-    "dualaxis",
-    disclim.integrate_on_year([counts, anomaly]),
-    secondary=anomaly.label,
-)
+overlay = disclim.emit_chart("dualaxis", disclim.integrate_on_year([counts, anomaly]))
 print("dual-axis years:", overlay.payload["years"][0], "to", overlay.payload["years"][-1])
 
 # the choropleth wants one value per country, keyed by ISO alpha-3

@@ -65,10 +65,8 @@ from .records import AnomalyRecord, DisasterRecord, DisasterType, TypeRecord
 from .stats import (
     METHODS,
     CorrelationMatrix,
-    PairCensus,
     correlation_matrix,
     kendall,
-    pair_census,
     pearson,
     rank_average_ties,
     spearman,
@@ -93,7 +91,6 @@ __all__ = [
     "JoinedTable",
     "METHODS",
     "NewsIntensity",
-    "PairCensus",
     "RawTable",
     "SchemaKind",
     "ShareTable",
@@ -118,7 +115,6 @@ __all__ = [
     "load_default_codes",
     "news_intensity",
     "overall_share",
-    "pair_census",
     "parse_delimited",
     "pearson",
     "ramp_position",

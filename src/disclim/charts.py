@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import enum
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .corpus import JoinedTable, align_union, AnnualSeries
+from .corpus import JoinedTable
 from .errors import (
     DataError,
     EmptyMatrixError,
     KindMismatchError,
     MissingIsoCodesError,
 )
-from .isocodes import CODE_RE, load_default_codes
+from .isocodes import CODE_RE
 from .metrics import ShareTable, SunburstNode
 from .stats import CorrelationMatrix
 
@@ -37,7 +37,7 @@ class ChartKind(enum.Enum):
 
 def parse_chart_kind(name: str) -> ChartKind:
     try:
-        return ChartKind(name.strip().lower().replace("-", "").replace("_", ""))
+        return ChartKind(name)
     except ValueError:
         raise KindMismatchError(f"unknown chart kind {name!r}") from None
 
@@ -62,52 +62,39 @@ class ChartDocument:
         return self.to_text().encode("utf-8")
 
 
-def _as_joined(data) -> JoinedTable:
-    if isinstance(data, JoinedTable):
-        table = data
-    elif isinstance(data, Sequence) and all(isinstance(s, AnnualSeries) for s in data):
-        table = align_union(data)
-    else:
-        raise KindMismatchError(f"expected year-joined series, got {type(data).__name__}")
-    if len(set(table.labels)) != len(table.labels):
+def _series_payload(data) -> dict:
+    if not isinstance(data, JoinedTable):
+        raise KindMismatchError(f"expected a JoinedTable, got {type(data).__name__}")
+    if len(set(data.labels)) != len(data.labels):
         raise DataError("series labels are not unique")
-    return table
-
-
-def _series_payload(table: JoinedTable) -> dict:
     return {
-        "years": list(table.years),
+        "years": list(data.years),
         "series": [
             {"label": label, "values": list(column)}
-            for label, column in zip(table.labels, table.columns)
+            for label, column in zip(data.labels, data.columns)
         ],
     }
 
 
-def _timeseries(data, title, *, units: str = "") -> ChartDocument:
-    table = _as_joined(data)
+def _timeseries(data, title) -> ChartDocument:
     return ChartDocument(
         kind=ChartKind.TIME_SERIES,
         title=title or "Time series",
-        axes={"x": "year", "y": units},
-        payload=_series_payload(table),
+        axes={"x": "year", "y": ""},
+        payload=_series_payload(data),
     )
 
 
-def _dualaxis(data, title, *, secondary: str | None = None) -> ChartDocument:
-    table = _as_joined(data)
-    if len(table.labels) != 2:
-        raise KindMismatchError(f"dual-axis needs exactly 2 series, got {len(table.labels)}")
-    if secondary is None:
-        secondary = table.labels[1]
-    if secondary not in table.labels:
-        raise KindMismatchError(f"secondary series {secondary!r} not among {table.labels}")
-    primary = table.labels[0] if secondary != table.labels[0] else table.labels[1]
+def _dualaxis(data, title) -> ChartDocument:
+    payload = _series_payload(data)
+    if len(data.labels) != 2:
+        raise KindMismatchError(f"dual-axis needs exactly 2 series, got {len(data.labels)}")
+    primary, secondary = data.labels
     return ChartDocument(
         kind=ChartKind.DUAL_AXIS,
         title=title or f"{primary} vs {secondary}",
         axes={"x": "year", "left": primary, "right": secondary},
-        payload=_series_payload(table),
+        payload=payload,
     )
 
 
@@ -148,28 +135,16 @@ def _sunburst(data, title) -> ChartDocument:
 
 def _choropleth(data, title) -> ChartDocument:
     if not isinstance(data, Mapping):
-        raise KindMismatchError(f"choropleth needs a name->value mapping, got {type(data).__name__}")
-    values: dict[str, float] = {}
-    missing: list[str] = []
-    for name in sorted(data):
-        if CODE_RE.match(name):
-            code = name
-        else:
-            entry = load_default_codes().normalize(name)
-            code = entry.code if entry else None
-        if code is None:
-            missing.append(name)
-            continue
-        if code in values:
-            raise DataError(f"two entities map to {code}")
-        values[code] = float(data[name])
+        raise KindMismatchError(f"choropleth needs a code->value mapping, got {type(data).__name__}")
+    keys = sorted(data)
+    missing = [key for key in keys if not CODE_RE.match(key)]
     if missing:
         raise MissingIsoCodesError(missing)
     return ChartDocument(
         kind=ChartKind.CHOROPLETH,
         title=title or "World map values",
         axes={"key": "ISO 3166-1 alpha-3"},
-        payload={"values": values},
+        payload={"values": {code: float(data[code]) for code in keys}},
     )
 
 
@@ -198,16 +173,17 @@ _EMITTERS = {
 }
 
 
-def emit_chart(kind: ChartKind | str, data, title: str | None = None, **options) -> ChartDocument:
+def emit_chart(kind: ChartKind | str, data, title: str | None = None) -> ChartDocument:
     """Build the document for *kind*; inputs must match the kind's schema.
 
-    Two kinds take an option: ``units=`` labels the y axis of a time series,
-    and ``secondary=`` names the right-hand series of a dual-axis chart, by
-    default its second.  Any other option raises TypeError.
+    A time series or dual-axis chart takes a ``JoinedTable``, and a
+    dual-axis chart's right-hand series is its second column.  A choropleth
+    takes a mapping keyed by ISO alpha-3 code only; any other key raises
+    MissingIsoCodesError.  There are no options.
     """
     if isinstance(kind, str):
         kind = parse_chart_kind(kind)
-    return _EMITTERS[kind](data, title, **options)
+    return _EMITTERS[kind](data, title)
 
 
 # -- heatmap SVG -------------------------------------------------------------

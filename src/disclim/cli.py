@@ -154,17 +154,17 @@ def _parse_selector(selector: str) -> tuple[str, str] | None:
     return target, _AGAINST.get(measure, measure)
 
 
-def _reads_regions(args) -> bool:
+def _reads_regions(args, kind: charts.ChartKind | None) -> bool:
     """Whether a command on the bundled corpus reads region records.
 
+    *kind* is the chart kind of a ``chart`` command, None for the others.
     ``report`` and the choropleth always do.  A timeseries or dualaxis
     selector does when it names neither the anomaly nor a disaster type,
     the test ``Corpus.build_series`` applies; a malformed one raises
     UsageError here.  ``corr`` and the other charts never do.
     """
-    if args.command != "chart":
+    if kind is None:
         return args.command == "report"
-    kind = charts.parse_chart_kind(args.kind)
     if kind is charts.ChartKind.TIME_SERIES:
         selectors = args.series or []
     elif kind is charts.ChartKind.DUAL_AXIS:
@@ -175,7 +175,7 @@ def _reads_regions(args) -> bool:
     return any(parse_disaster_type(target) is None for target, _ in parsed)
 
 
-def _resolve_corpus(config: RunConfig, args) -> Corpus:
+def _resolve_corpus(config: RunConfig, args, kind: charts.ChartKind | None = None) -> Corpus:
     """The --corpus directory, fully validated, or else the bundled corpus.
 
     From the bundled data only the tables the command reads are built; a
@@ -184,7 +184,7 @@ def _resolve_corpus(config: RunConfig, args) -> Corpus:
     directory = config.corpus or os.environ.get(CORPUS_ENV)
     if directory:
         return load_corpus(directory)
-    if _reads_regions(args):
+    if _reads_regions(args, kind):
         return load_bundled_corpus()
     return load_bundled_corpus([SchemaKind.DISASTER_TYPE, SchemaKind.ANOMALY])
 
@@ -250,8 +250,9 @@ def _cmd_corr(args) -> int:
     return 0
 
 
-def _build_chart(corpus: Corpus, args, config: RunConfig) -> charts.ChartDocument:
-    kind = charts.parse_chart_kind(args.kind)
+def _build_chart(
+    kind: charts.ChartKind, corpus: Corpus, args, config: RunConfig
+) -> charts.ChartDocument:
     if kind is charts.ChartKind.TIME_SERIES:
         selectors = args.series or ["anomaly"]
         return charts.emit_chart(
@@ -263,7 +264,7 @@ def _build_chart(corpus: Corpus, args, config: RunConfig) -> charts.ChartDocumen
         table = integrate_on_year(
             [_series_for(corpus, args.left), _series_for(corpus, args.right)]
         )
-        return charts.emit_chart(kind, table, secondary=table.labels[1])
+        return charts.emit_chart(kind, table)
     if kind is charts.ChartKind.STACKED_AREA:
         return charts.emit_chart(kind, metrics.share_table(corpus, args.measure or "count"))
     if kind is charts.ChartKind.SUNBURST:
@@ -284,8 +285,8 @@ def _cmd_chart(args) -> int:
         if getattr(args, name) is not None and name not in _CHART_FLAGS[kind]:
             raise UsageError(f"--{name} does not apply to --kind {kind.value}")
     config = _resolve_config(args)
-    corpus = _resolve_corpus(config, args)
-    doc = _build_chart(corpus, args, config)
+    corpus = _resolve_corpus(config, args, kind)
+    doc = _build_chart(kind, corpus, args, config)
     path = Path(config.out) / f"{doc.kind.value}.chart"
     _write_atomic(path, doc.to_bytes())
     print(f"wrote {path}")
@@ -322,9 +323,7 @@ def _cmd_report(args) -> int:
     root, _warnings = metrics.sunburst_deaths_affected(*metrics.deaths_and_affected(corpus))
     documents = {
         "timeseries": charts.emit_chart("timeseries", tables["occurrence"]),
-        "dualaxis": charts.emit_chart(
-            "dualaxis", integrate_on_year([all_count, anomaly]), secondary=anomaly.label
-        ),
+        "dualaxis": charts.emit_chart("dualaxis", integrate_on_year([all_count, anomaly])),
         "stackedarea": charts.emit_chart("stackedarea", metrics.share_table(corpus, "count")),
         "sunburst": charts.emit_chart("sunburst", root),
         "choropleth": charts.emit_chart("choropleth", metrics.region_totals(corpus, "deaths")),

@@ -146,14 +146,14 @@ def annual_totals(records: Iterable, measure: str, key: Callable) -> dict:
     return totals
 
 
-def annualize_anomaly(records: Iterable[AnomalyRecord], label: str = ANOMALY_LABEL) -> AnnualSeries:
+def annualize_anomaly(records: Iterable[AnomalyRecord]) -> AnnualSeries:
     """Collapse (possibly monthly) anomaly records to annual means."""
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for rec in records:
         sums[rec.year] = sums.get(rec.year, 0.0) + rec.anomaly
         counts[rec.year] = counts.get(rec.year, 0) + 1
-    return series_from_mapping(label, {y: sums[y] / counts[y] for y in sums})
+    return series_from_mapping(ANOMALY_LABEL, {y: sums[y] / counts[y] for y in sums})
 
 
 @dataclass(eq=True)
@@ -172,17 +172,18 @@ class Corpus:
     def _regions_matching(self, key: str) -> list[DisasterRecord]:
         """Region records whose casefolded entity or ISO code is *key*, in order.
 
-        The index is built once per ``region_records`` tuple and rebuilt
-        when a different tuple is assigned.
+        A record without a code is indexed under its entity alone.  The
+        index is built once per ``region_records`` tuple and rebuilt when a
+        different tuple is assigned.
         """
         records, index = self._region_index
         if records is not self.region_records:
             records, index = self.region_records, {}
             for rec in records:
-                entity, iso = rec.entity.casefold(), (rec.iso or "").casefold()
+                entity = rec.entity.casefold()
                 index.setdefault(entity, []).append(rec)
-                if iso != entity:
-                    index.setdefault(iso, []).append(rec)
+                if rec.iso and rec.iso.casefold() != entity:
+                    index.setdefault(rec.iso.casefold(), []).append(rec)
             self._region_index = (records, index)
         return index.get(key, [])
 
@@ -357,34 +358,38 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> Path:
     Each table is csv: the key columns, then (for the disaster tables) the
     measure columns in presentation order.  A null is an empty cell, a
     float its ``repr``, and a cell holding a comma, quote or newline is
-    quoted.  Returns the directory.
+    quoted.  Returns the directory; a directory that cannot be made or
+    written raises DataError.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
         "tables": {},
         "exclusions": corpus.exclusions,
         "sources": corpus.sources,
     }
-    for kind, stored in _STORED.items():
-        records = getattr(corpus, stored.field)
-        if not records:
-            continue
-        present = {m for rec in records for m in rec.measures} if stored.measured else ()
-        measures = _in_presentation_order(present)
-        # a generator, so that each row is freed once written and a save
-        # triggers no garbage collection
-        rows = (stored.cells(rec) + [rec.measures.get(m) for m in measures] for rec in records)
-        payload = RawTable(stored.keys + tuple(measures), rows).serialize().encode("utf-8")
-        (directory / stored.file).write_bytes(payload)
-        manifest["tables"][kind.value] = {
-            "file": stored.file,
-            "rows": len(records),
-            "sha256": hashlib.sha256(payload).hexdigest(),
-        }
-    (directory / _MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"
-    )
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for kind, stored in _STORED.items():
+            records = getattr(corpus, stored.field)
+            if not records:
+                continue
+            present = {m for rec in records for m in rec.measures} if stored.measured else ()
+            measures = _in_presentation_order(present)
+            # a generator, so that each row is freed once written and a save
+            # triggers no garbage collection
+            rows = (stored.cells(rec) + [rec.measures.get(m) for m in measures] for rec in records)
+            payload = RawTable(stored.keys + tuple(measures), rows).serialize().encode("utf-8")
+            (directory / stored.file).write_bytes(payload)
+            manifest["tables"][kind.value] = {
+                "file": stored.file,
+                "rows": len(records),
+                "sha256": hashlib.sha256(payload).hexdigest(),
+            }
+        (directory / _MANIFEST_NAME).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"
+        )
+    except OSError as exc:
+        raise DataError(f"cannot write corpus to {directory}: {exc}") from None
     return directory
 
 

@@ -118,8 +118,9 @@ def deaths_and_affected(corpus: Corpus) -> tuple[dict[str, float], dict[str, flo
 def region_totals(corpus: Corpus, measure: str, year: int | None = None) -> dict[str, float]:
     """Per-region totals of *measure*, over all years or one: the choropleth's input.
 
-    Keyed by ISO code, or by name for a region without one; aggregate rows
-    are left out, and two entity names sharing one code raise DataError.
+    Keyed by ISO code, or by name for a region without one, which the
+    choropleth then reports as missing; aggregate rows are left out, and two
+    entity names sharing one code raise DataError.
     """
     records = [rec for rec in corpus.region_records
                if not rec.aggregate and (year is None or rec.year == year)]
@@ -151,9 +152,7 @@ class SunburstNode:
 
 
 def sunburst_deaths_affected(
-    deaths: Mapping[str, float],
-    affected: Mapping[str, float],
-    root_label: str = "All natural disasters",
+    deaths: Mapping[str, float], affected: Mapping[str, float]
 ) -> tuple[SunburstNode, list[str]]:
     """Nest each type's deaths inside its affected count, under one root.
 
@@ -174,7 +173,7 @@ def sunburst_deaths_affected(
             SunburstNode(label=label, value=a, children=(SunburstNode("deaths", d),))
         )
     root = SunburstNode(
-        label=root_label,
+        label="All natural disasters",
         value=sum(c.value for c in children),
         children=tuple(children),
     )

@@ -2,8 +2,9 @@
 
 Three coefficients are offered: Pearson on raw values, Spearman on
 average ranks (closed form when rank ties are absent, Pearson-on-ranks
-otherwise; the two agree exactly in the no-tie case), and Kendall from a
-full pairwise census (tau-a by default, tau-b behind a variant switch).
+otherwise; the two agree exactly in the no-tie case), and Kendall from the
+signs of every pairwise difference (tau-a by default, tau-b behind a
+variant switch).
 
 Missing data is handled by pairwise-complete deletion: each matrix cell
 keeps exactly the years where both series have a value, and records the
@@ -125,21 +126,6 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     return pearson(rx, ry)
 
 
-@dataclass(frozen=True)
-class PairCensus:
-    """Counts over all n(n-1)/2 index pairs of a series pair."""
-
-    concordant: int
-    discordant: int
-    ties_x: int
-    ties_y: int
-    ties_both: int
-
-    @property
-    def total(self) -> int:
-        return self.concordant + self.discordant + self.ties_x + self.ties_y + self.ties_both
-
-
 # (later, earlier) index of every unordered pair among the first N
 # positions, ordered by the later one; any n < N uses a prefix
 _pairs = np.tril_indices(0, -1)
@@ -153,46 +139,25 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _pairs[0][:m], _pairs[1][:m]
 
 
-def pair_census(x: Sequence[float], y: Sequence[float]) -> PairCensus:
-    """Classify every unordered index pair as concordant, discordant, or tied."""
+def kendall(x: Sequence[float], y: Sequence[float], variant: str = "tau-a") -> float:
+    """Kendall's tau from the signs of every pairwise difference.
+
+    tau-a divides the concordant/discordant surplus by all n(n-1)/2
+    pairs, exactly as defined without tie correction; tau-b divides it by
+    the geometric mean of the pairs untied in x and untied in y, and is
+    undefined when either series is constant.
+    """
+    if variant not in ("tau-a", "tau-b"):
+        raise ValueError(f"variant must be 'tau-a' or 'tau-b', not {variant!r}")
     ax, ay = _as_checked_arrays(x, y)
     later, earlier = _pair_indices(ax.size)
     sx = np.sign(ax[later] - ax[earlier])
     sy = np.sign(ay[later] - ay[earlier])
-    # signs are -1, 0 or 1, so the dot product and the counts are exact
+    # signs are -1, 0 or 1, so the surplus and the counts are exact integers
     surplus = int(np.dot(sx, sy))
-    x_tie = sx == 0
-    y_tie = sy == 0
-    tied_x = int(np.count_nonzero(x_tie))
-    tied_y = int(np.count_nonzero(y_tie))
-    tied_both = int(np.count_nonzero(x_tie & y_tie))
-    untied = later.size - tied_x - tied_y + tied_both
-    return PairCensus(
-        concordant=(untied + surplus) // 2,
-        discordant=(untied - surplus) // 2,
-        ties_x=tied_x - tied_both,
-        ties_y=tied_y - tied_both,
-        ties_both=tied_both,
-    )
-
-
-def kendall(x: Sequence[float], y: Sequence[float], variant: str = "tau-a") -> float:
-    """Kendall's tau from the pairwise census.
-
-    tau-a divides the concordant/discordant surplus by all n(n-1)/2
-    pairs, exactly as defined without tie correction; tau-b corrects the
-    denominator for ties and is undefined when either series is constant.
-    """
-    if variant not in ("tau-a", "tau-b"):
-        raise ValueError(f"variant must be 'tau-a' or 'tau-b', not {variant!r}")
-    census = pair_census(x, y)
-    n0 = census.total
-    surplus = census.concordant - census.discordant
     if variant == "tau-a":
-        return _clamp(surplus / n0)
-    tied_x = census.ties_x + census.ties_both
-    tied_y = census.ties_y + census.ties_both
-    denom = (n0 - tied_x) * (n0 - tied_y)
+        return _clamp(surplus / later.size)
+    denom = int(np.count_nonzero(sx)) * int(np.count_nonzero(sy))
     if denom == 0:
         raise ZeroVarianceError("fully tied series: tau-b denominator is zero")
     return _clamp(surplus / math.sqrt(denom))
@@ -271,11 +236,11 @@ class CorrelationMatrix:
     def defined_cells(self) -> int:
         return sum(v is not None for row in self.values for v in row)
 
-    def to_delimited(self, precision: int = 6) -> str:
-        """Labels as first row and column, fixed decimals, blank = undefined."""
+    def to_delimited(self) -> str:
+        """Labels as first row and column, six decimals, blank = undefined."""
         lines = ["," + ",".join(self.labels)]
         for label, row in zip(self.labels, self.values):
-            cells = ["" if v is None else f"{v:.{precision}f}" for v in row]
+            cells = ["" if v is None else f"{v:.6f}" for v in row]
             lines.append(",".join([label] + cells))
         return "\n".join(lines) + "\n"
 

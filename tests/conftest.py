@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +22,39 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def census_by_loop(x, y) -> dict[str, int]:
+    """Every unordered index pair counted as concordant, discordant or tied."""
+    counts = dict(concordant=0, discordant=0, ties_x=0, ties_y=0, ties_both=0)
+    for j in range(len(x)):
+        for i in range(j):
+            dx = (x[j] > x[i]) - (x[j] < x[i])
+            dy = (y[j] > y[i]) - (y[j] < y[i])
+            if dx == 0 and dy == 0:
+                counts["ties_both"] += 1
+            elif dx == 0:
+                counts["ties_x"] += 1
+            elif dy == 0:
+                counts["ties_y"] += 1
+            else:
+                counts["concordant" if dx == dy else "discordant"] += 1
+    return counts
+
+
+def assert_kendall_matches_loop(x, y) -> None:
+    """Both variants of ``kendall`` against the taus of ``census_by_loop``'s counts."""
+    counts = census_by_loop(x, y)
+    pairs = sum(counts.values())
+    surplus = counts["concordant"] - counts["discordant"]
+    assert disclim.kendall(x, y, "tau-a") == surplus / pairs
+    untied = ((pairs - counts["ties_x"] - counts["ties_both"])
+              * (pairs - counts["ties_y"] - counts["ties_both"]))
+    if untied == 0:
+        with pytest.raises(disclim.ZeroVarianceError):
+            disclim.kendall(x, y, "tau-b")
+    else:
+        assert disclim.kendall(x, y, "tau-b") == surplus / math.sqrt(untied)
 
 
 def fixture_bytes(name: str) -> bytes:

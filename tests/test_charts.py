@@ -3,7 +3,6 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from disclim import charts as charts_module
 from disclim.charts import (
     ChartDocument,
     ChartKind,
@@ -30,6 +29,10 @@ def _two_series():
     ]
 
 
+def _two_joined():
+    return align_union(_two_series())
+
+
 def _small_matrix() -> CorrelationMatrix:
     return correlation_matrix(align_union(_two_series()[:1] + [
         AnnualSeries("b", (2001, 2002, 2003), (5.0, 6.0, 9.0)),
@@ -38,19 +41,19 @@ def _small_matrix() -> CorrelationMatrix:
 
 class TestKindParsing:
     def test_spellings(self):
-        assert parse_chart_kind("dual-axis") is ChartKind.DUAL_AXIS
-        assert parse_chart_kind("Dual_Axis") is ChartKind.DUAL_AXIS
+        assert parse_chart_kind("dualaxis") is ChartKind.DUAL_AXIS
         assert parse_chart_kind("stackedarea") is ChartKind.STACKED_AREA
-        assert parse_chart_kind(" heatmap ") is ChartKind.HEATMAP
+        assert parse_chart_kind("heatmap") is ChartKind.HEATMAP
 
     def test_unknown(self):
-        with pytest.raises(KindMismatchError):
-            parse_chart_kind("scatter")
+        for name in ("scatter", "dual-axis", "Dual_Axis", " heatmap "):
+            with pytest.raises(KindMismatchError):
+                parse_chart_kind(name)
 
 
 class TestDocumentSerialization:
     def test_canonical_json(self):
-        doc = emit_chart("timeseries", _two_series())
+        doc = emit_chart("timeseries", _two_joined())
         text = doc.to_text()
         assert text.endswith("\n")
         parsed = json.loads(text)
@@ -58,8 +61,8 @@ class TestDocumentSerialization:
         assert parsed["kind"] == "timeseries"
 
     def test_bytes_deterministic(self):
-        first = emit_chart("timeseries", _two_series()).to_bytes()
-        second = emit_chart("timeseries", _two_series()).to_bytes()
+        first = emit_chart("timeseries", _two_joined()).to_bytes()
+        second = emit_chart("timeseries", _two_joined()).to_bytes()
         assert first == second
 
     def test_unicode_kept_readable(self):
@@ -69,49 +72,41 @@ class TestDocumentSerialization:
 
 class TestTimeSeries:
     def test_payload(self):
-        doc = emit_chart("timeseries", _two_series(), units="events")
+        doc = emit_chart("timeseries", _two_joined())
         assert doc.kind is ChartKind.TIME_SERIES
-        assert doc.axes == {"x": "year", "y": "events"}
+        assert doc.axes == {"x": "year", "y": ""}
         assert doc.payload["years"] == [2001, 2002, 2003, 2004]
         by_label = {s["label"]: s["values"] for s in doc.payload["series"]}
         assert by_label["a"] == [1.0, 2.0, 3.0, None]
         assert by_label["b"] == [None, 5.0, 6.0, 7.0]
 
     def test_joined_table_accepted(self):
-        table = align_union(_two_series())
-        assert emit_chart("timeseries", table).payload["years"] == [2001, 2002, 2003, 2004]
+        assert emit_chart("timeseries", _two_joined()).payload["years"] == [2001, 2002, 2003, 2004]
 
     def test_wrong_input(self):
-        with pytest.raises(KindMismatchError):
-            emit_chart("timeseries", {"not": "series"})
+        for data in ({"not": "series"}, _two_series()):
+            for kind in ("timeseries", "dualaxis"):
+                with pytest.raises(KindMismatchError, match="JoinedTable"):
+                    emit_chart(kind, data)
 
     def test_duplicate_labels(self):
-        twice = [_two_series()[0], _two_series()[0]]
-        with pytest.raises(DataError):
+        twice = align_union([_two_series()[0], _two_series()[0]])
+        with pytest.raises(DataError, match="not unique"):
             emit_chart("timeseries", twice)
 
 
 class TestDualAxis:
     def test_axes_and_title(self):
-        doc = emit_chart("dualaxis", _two_series())
+        doc = emit_chart("dualaxis", _two_joined())
         assert doc.axes == {"x": "year", "left": "a", "right": "b"}
         assert doc.title == "a vs b"
-
-    def test_secondary_option(self):
-        doc = emit_chart("dualaxis", _two_series(), secondary="a")
-        assert doc.axes["right"] == "a"
-        assert doc.axes["left"] == "b"
 
     def test_needs_exactly_two(self):
         series = _two_series() + [AnnualSeries("c", (2001,), (1.0,))]
         with pytest.raises(KindMismatchError, match="exactly 2"):
-            emit_chart("dualaxis", series)
+            emit_chart("dualaxis", align_union(series))
         with pytest.raises(KindMismatchError):
-            emit_chart("dualaxis", series[:1])
-
-    def test_unknown_secondary(self):
-        with pytest.raises(KindMismatchError):
-            emit_chart("dualaxis", _two_series(), secondary="zzz")
+            emit_chart("dualaxis", align_union(series[:1]))
 
 
 def test_unknown_option_raises():
@@ -122,6 +117,12 @@ def test_unknown_option_raises():
 def test_option_of_another_kind_raises():
     with pytest.raises(TypeError, match="units"):
         emit_chart("stackedarea", shares_by_group({2001: {"a": 1.0}}), units="events")
+
+
+@pytest.mark.parametrize("kind, option", [("timeseries", "units"), ("dualaxis", "secondary")])
+def test_former_options_raise(kind, option):
+    with pytest.raises(TypeError, match=option):
+        emit_chart(kind, _two_joined(), **{option: "b"})
 
 
 class TestStackedArea:
@@ -159,26 +160,24 @@ class TestSunburst:
 
 class TestChoropleth:
     def test_codes_pass_through_and_names_resolve(self):
-        doc = emit_chart("choropleth", {"IND": 4.0, "Russia": 2.5})
+        doc = emit_chart("choropleth", {"IND": 4, "RUS": 2.5})
         assert doc.payload["values"] == {"IND": 4.0, "RUS": 2.5}
         assert doc.axes == {"key": "ISO 3166-1 alpha-3"}
+        # a name is not resolved here: ingest gave each region its code
+        with pytest.raises(MissingIsoCodesError) as err:
+            emit_chart("choropleth", {"IND": 4.0, "Russia": 2.5})
+        assert err.value.entities == ["Russia"]
 
     def test_all_unresolved_names_reported(self):
         with pytest.raises(MissingIsoCodesError) as err:
             emit_chart("choropleth", {"Atlantis": 1.0, "Mu": 2.0, "IND": 3.0})
         assert err.value.entities == ["Atlantis", "Mu"]
 
-    def test_codes_alone_leave_the_code_table_unread(self, monkeypatch):
-        def unread():
-            raise AssertionError("the ISO code table was read")
-
-        monkeypatch.setattr(charts_module, "load_default_codes", unread)
-        doc = emit_chart("choropleth", {"IND": 4.0, "RUS": 2.5})
-        assert doc.payload["values"] == {"IND": 4.0, "RUS": 2.5}
-
     def test_name_and_code_collision(self):
-        with pytest.raises(DataError, match="IND"):
-            emit_chart("choropleth", {"India": 1.0, "IND": 2.0})
+        # a name beside the code it would resolve to is reported, not merged
+        with pytest.raises(MissingIsoCodesError) as err:
+            emit_chart("choropleth", {"India": 1.0, "IND": 2.0, "ind": 3.0})
+        assert err.value.entities == ["India", "ind"]
 
     def test_wrong_input(self):
         with pytest.raises(KindMismatchError):

@@ -253,6 +253,18 @@ class TestIngest:
         assert main(["ingest", "--anomaly", str(FIXTURES / "anomaly_sample.csv"),
                      "--null-threshold", "1.5"]) == 1
 
+    @pytest.mark.parametrize("target", ["file", "file/sub"])
+    def test_unwritable_corpus_directory(self, tmp_path, capsys, target):
+        # a regular file where a directory must go; mode bits would not stop root
+        (tmp_path / "file").write_text("not a directory\n")
+        corpus_dir = tmp_path / target
+        assert main(["ingest", "--anomaly", str(FIXTURES / "anomaly_sample.csv"),
+                     "--corpus", str(corpus_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"disclim: cannot write corpus to {corpus_dir}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert (tmp_path / "file").read_text() == "not a directory\n"
+
 
 class TestChart:
     def test_dualaxis_spans_shared_years(self, tmp_path):
@@ -368,6 +380,25 @@ class TestChart:
             assert doc["payload"]["values"] == expected[1]
         else:
             assert (code, capsys.readouterr().err) == expected
+
+    def test_blank_region_selector_matches_nothing(self, tmp_path, capsys):
+        # regions without a code must not all answer to the empty name
+        source = tmp_path / "region.csv"
+        source.write_text("ENTITY,CODE,YEAR,DEATHS\n"
+                          "India,IND,2001,5\nLemuria,,2001,1\nMu,,2002,2\nWorld,,2001,9\n")
+        corpus_dir = tmp_path / "corpus"
+        assert main(["ingest", "--region", str(source), "--corpus", str(corpus_dir)]) == 0
+        capsys.readouterr()
+        code = main(["chart", "--kind", "timeseries", "--series", "/deaths",
+                     "--corpus", str(corpus_dir), "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (
+            2, "disclim: unknown entity or disaster type ''\n"
+        )
+        assert not (tmp_path / "out").exists()
+        assert main(["chart", "--kind", "timeseries", "--series", "mu/deaths",
+                     "--corpus", str(corpus_dir), "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "timeseries.chart").read_text())
+        assert doc["payload"]["series"] == [{"label": "Mu", "values": [2.0]}]
 
     def test_heatmap_kind(self, tmp_path):
         assert main(["chart", "--kind", "heatmap", "--out", str(tmp_path)]) == 0
@@ -531,12 +562,14 @@ class TestBundledTables:
         (["chart", "--kind", "dualaxis", "--left", "anomaly"], False),
     ])
     def test_which_commands_read_regions(self, argv, reads):
-        assert _reads_regions(build_parser().parse_args(argv)) is reads
+        args = build_parser().parse_args(argv)
+        kind = charts.ChartKind(args.kind) if args.command == "chart" else None
+        assert _reads_regions(args, kind) is reads
 
     def test_malformed_selector_is_usage_error_before_any_table_is_built(self):
         args = build_parser().parse_args(["chart", "--kind", "timeseries", "--series", "Flood"])
         with pytest.raises(UsageError, match="series selector 'Flood'"):
-            _reads_regions(args)
+            _reads_regions(args, charts.ChartKind.TIME_SERIES)
 
     @pytest.mark.parametrize("against", ["occurrence", "damage"])
     @pytest.mark.parametrize("method", stats.METHODS)

@@ -230,7 +230,7 @@ def _scanned_series(corpus, selector, measure):
     label, by_year = selector.strip(), {}
     matched = False
     for rec in corpus.region_records:
-        if rec.entity.casefold() == wanted or (rec.iso or "").casefold() == wanted:
+        if rec.entity.casefold() == wanted or (rec.iso and rec.iso.casefold() == wanted):
             matched, label = True, rec.entity
             if rec.measures.get(measure) is not None:
                 by_year[rec.year] = by_year.get(rec.year, 0.0) + rec.measures[measure]
@@ -277,7 +277,9 @@ class TestRegionIndex:
             expected = _outcome(lambda s, m: _scanned_series(corpus, s, m), selector)
             assert _outcome(corpus.build_series, selector) == expected, selector
         assert corpus.build_series("fra", "deaths").values == (0.1 + 0.2 + 0.3, 7.0)
-        assert corpus.build_series("", "deaths").label == "FRA"
+        # a blank selector names no region, not every region without a code
+        with pytest.raises(UnknownSelectorError):
+            corpus.build_series("", "deaths")
 
     def test_fixture_names_and_codes_match_a_linear_scan(self, micro_corpus):
         records = micro_corpus.region_records

@@ -14,11 +14,12 @@ from disclim.stats import (
     METHODS,
     correlation_matrix,
     kendall,
-    pair_census,
     pearson,
     rank_average_ties,
     spearman,
 )
+
+from conftest import assert_kendall_matches_loop, census_by_loop
 
 # tie-rich integer draws so rank and census paths see heavy duplication
 tie_values = st.integers(min_value=-6, max_value=6)
@@ -112,7 +113,8 @@ class TestCensusAndRanks:
     def test_census_partitions_all_pairs(self, xy):
         x, y = xy
         n = len(x)
-        assert pair_census(x, y).total == n * (n - 1) // 2
+        assert sum(census_by_loop(x, y).values()) == n * (n - 1) // 2
+        assert_kendall_matches_loop(x, y)
 
     @given(st.lists(tie_values, min_size=1, max_size=40))
     def test_rank_sum_is_fixed(self, values):

@@ -15,15 +15,15 @@ from disclim.errors import (
 from disclim.stats import (
     METHODS,
     CorrelationMatrix,
-    PairCensus,
     correlation_matrix,
     kendall,
     normalize_method,
-    pair_census,
     pearson,
     rank_average_ties,
     spearman,
 )
+
+from conftest import assert_kendall_matches_loop, census_by_loop
 
 
 class TestPearson:
@@ -185,38 +185,21 @@ class TestKendall:
 
 class TestCensus:
     def test_counts(self):
-        census = pair_census([1, 2, 2, 3], [1, 1, 2, 2])
-        assert census.concordant == 3
-        assert census.discordant == 0
-        assert census.ties_x == 1
-        assert census.ties_y == 2
-        assert census.ties_both == 0
-        assert census.total == 6
+        x, y = [1, 2, 2, 3], [1, 1, 2, 2]
+        assert census_by_loop(x, y) == dict(
+            concordant=3, discordant=0, ties_x=1, ties_y=2, ties_both=0
+        )
+        assert kendall(x, y, "tau-a") == 3 / 6
+        assert kendall(x, y, "tau-b") == 3 / math.sqrt(5 * 4)
 
     def test_total_is_all_pairs(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
             n = int(rng.integers(2, 50))
-            x = rng.integers(0, 5, size=n).astype(float)
-            y = rng.integers(0, 5, size=n).astype(float)
-            assert pair_census(x, y).total == n * (n - 1) // 2
-
-
-def _census_by_loop(x, y) -> PairCensus:
-    counts = dict(concordant=0, discordant=0, ties_x=0, ties_y=0, ties_both=0)
-    for j in range(len(x)):
-        for i in range(j):
-            dx = (x[j] > x[i]) - (x[j] < x[i])
-            dy = (y[j] > y[i]) - (y[j] < y[i])
-            if dx == 0 and dy == 0:
-                counts["ties_both"] += 1
-            elif dx == 0:
-                counts["ties_x"] += 1
-            elif dy == 0:
-                counts["ties_y"] += 1
-            else:
-                counts["concordant" if dx == dy else "discordant"] += 1
-    return PairCensus(**counts)
+            x = rng.integers(0, 5, size=n).astype(float).tolist()
+            y = rng.integers(0, 5, size=n).astype(float).tolist()
+            assert sum(census_by_loop(x, y).values()) == n * (n - 1) // 2
+            assert_kendall_matches_loop(x, y)
 
 
 def _ranks_by_loop(values) -> tuple[float, ...]:
@@ -240,13 +223,18 @@ class TestAgainstLoops:
             for _ in range(5):
                 x = rng.choice([-1.5, -0.0, 0.0, 2.0, 3.0], size=n).tolist()
                 y = rng.integers(0, 3, size=n).astype(float).tolist()
-                assert pair_census(x, y) == _census_by_loop(x, y), n
+                assert_kendall_matches_loop(x, y)
                 assert rank_average_ties(x) == _ranks_by_loop(x)
                 assert rank_average_ties(y) == _ranks_by_loop(y)
         assert stats._pairs[0].size == max(self.SIZES) * (max(self.SIZES) - 1) // 2
 
     def test_constant_and_untied_input(self):
-        assert pair_census([4.0] * 6, [1, 2, 3, 4, 5, 6]) == PairCensus(0, 0, 15, 0, 0)
+        constant, untied = [4.0] * 6, [1, 2, 3, 4, 5, 6]
+        assert census_by_loop(constant, untied) == dict(
+            concordant=0, discordant=0, ties_x=15, ties_y=0, ties_both=0
+        )
+        assert_kendall_matches_loop(constant, untied)
+        assert_kendall_matches_loop(untied, [0.5, -2.0, 9.0, 1.0, 1.5, 7.0])
         assert rank_average_ties([4.0] * 6) == (3.5,) * 6
         assert rank_average_ties([0.5, -2.0, 9.0]) == (2.0, 1.0, 3.0)
         assert rank_average_ties([]) == ()
