@@ -22,18 +22,25 @@ table = disclim.parse_delimited(raw, source_path="extract.csv")
 kind = disclim.detect_schema(table)
 print("detected schema:", kind.value)
 
-# collect mode keeps going past bad rows and files each failure
-result = disclim.coerce_records(table, kind, on_error="collect")
-print(f"{len(result.records)} records kept, {len(result.errors)} rejected")
-for problem in result.errors:
-    print("  rejected:", problem.error)
+# coercion stops at the first bad row; the error names its row and column
+try:
+    disclim.coerce_records(table, kind)
+except disclim.DataError as exc:
+    print(exc)
+    bad_row = exc.row
+
+# drop that row and coerce the rest
+rows = table.rows[:bad_row - 1] + table.rows[bad_row:]
+table = disclim.RawTable(table.header, rows, table.source_path)
+result = disclim.coerce_records(table, kind)
+print(f"{len(result.records)} records kept")
 
 # null tokens are not errors; they are tallied per column instead
 print(result.null_report.render_text())
 
 # the same table assembles into a corpus; the aggregate row is
 # recognized as a rollup rather than another disaster type
-corpus = disclim.build_corpus([table], on_error="collect")
+corpus = disclim.build_corpus([table])
 flood = corpus.build_series("flood", "count")
 print("flood counts:", dict(zip(flood.years, flood.values)))
 print("types present:", corpus.type_names())

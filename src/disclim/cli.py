@@ -354,11 +354,13 @@ def _cmd_report(args) -> int:
 # -- argument plumbing -------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, out: bool, significance: bool) -> None:
     sub.add_argument("--config", help="JSON config file; flags override it")
     sub.add_argument("--corpus", help=f"corpus directory (or ${CORPUS_ENV})")
-    sub.add_argument("--out", help="output directory (default: out)")
-    sub.add_argument("--significance", type=float, help="|r| threshold (default 0.8)")
+    if out:
+        sub.add_argument("--out", help="output directory (default: out)")
+    if significance:
+        sub.add_argument("--significance", type=float, help="|r| threshold (default 0.8)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,14 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--null-threshold", dest="null_threshold", type=float,
                         help="drop columns at this null fraction "
                              f"(default {DEFAULT_NULL_THRESHOLD:.2f})")
-    _add_common(ingest)
+    _add_common(ingest, out=False, significance=False)
 
     corr = commands.add_parser("corr", help="correlation matrix + heatmap")
     corr.add_argument("--method", choices=sorted(stats.METHOD_ALIASES),
                       help="estimator (default pearson)")
     corr.add_argument("--against", choices=sorted(_AGAINST), default=None,
                       help="disaster measure to correlate (default occurrence)")
-    _add_common(corr)
+    _add_common(corr, out=True, significance=True)
 
     chart = commands.add_parser("chart", help="emit one chart document")
     chart.add_argument("--kind", required=True,
@@ -395,10 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     chart.add_argument("--year", type=int, help="restrict choropleth to one year")
     chart.add_argument("--method", choices=sorted(stats.METHOD_ALIASES))
     chart.add_argument("--against", choices=sorted(_AGAINST), default=None)
-    _add_common(chart)
+    _add_common(chart, out=True, significance=False)
 
     report = commands.add_parser("report", help="all matrices, charts, and a summary")
-    _add_common(report)
+    _add_common(report, out=True, significance=True)
 
     return parser
 

@@ -244,7 +244,6 @@ def build_corpus(
     tables: Iterable[RawTable],
     *,
     null_threshold: float = DEFAULT_NULL_THRESHOLD,
-    on_error: str = "raise",
 ) -> Corpus:
     """Detect, coerce, and merge source tables into a Corpus.
 
@@ -258,7 +257,7 @@ def build_corpus(
         kind = detect_schema(table)
         if kind.value in corpus.sources:
             raise DataError(f"duplicate {kind.value} table: {table.source_path}")
-        result = coerce_records(table, kind, on_error=on_error)
+        result = coerce_records(table, kind)
         excluded = [
             measure for column, measure in result.measure_columns.items()
             if result.null_report.fraction(column) >= null_threshold

@@ -25,7 +25,7 @@ from .errors import (
     UnparseableNumberError,
     YearOutOfRangeError,
 )
-from .isocodes import load_default_codes
+from .isocodes import CODE_RE, load_default_codes
 from .records import (
     YEAR_MAX,
     YEAR_MIN,
@@ -186,45 +186,35 @@ def _anomaly_columns(columns: dict[str, str]) -> list[str]:
     return [c for c in columns if "ANOMALY" in c]
 
 
-def _match_schema(kind: SchemaKind, columns: dict[str, str]) -> frozenset[str] | None:
-    """Return the set of (upper-cased) required columns if *kind* matches."""
+def _match_schema(kind: SchemaKind, columns: dict[str, str]) -> bool:
+    """Whether the (upper-cased) *columns* hold every column *kind* requires."""
     names = set(columns)
     if kind is SchemaKind.ANOMALY:
-        year = next((c for c in _YEAR_COLUMNS if c in names), None)
-        anomaly = _anomaly_columns(columns)
-        return frozenset({year, anomaly[0]}) if year is not None and anomaly else None
+        return any(c in names for c in _YEAR_COLUMNS) and bool(_anomaly_columns(columns))
     required = _KEY_COLUMNS[kind]
-    return required if required <= names and names - required else None
+    return required <= names and bool(names - required)
 
 
 def detect_schema(table: RawTable) -> SchemaKind:
     """Identify the unique schema whose required columns are all present.
 
-    When one matching schema's requirements strictly contain another's
-    (the region layout subsumes the type layout), the more specific one
-    wins; genuinely incomparable multi-matches are ambiguous.
+    The region layout's key columns contain the type layout's, so a table
+    that matches both is a region table; any other multi-match is ambiguous.
     """
     if not table.rows:
         raise DataError(f"{table.source_path}: table has no data rows")
     columns = _upper_columns(table)
-    matches = {
-        kind: req
-        for kind in SchemaKind
-        if (req := _match_schema(kind, columns)) is not None
-    }
-    keep = {
-        kind
-        for kind, req in matches.items()
-        if not any(other != req and req < other for other in matches.values())
-    }
-    if not keep:
+    matches = {kind for kind in SchemaKind if _match_schema(kind, columns)}
+    if SchemaKind.REGION in matches:
+        matches.discard(SchemaKind.DISASTER_TYPE)
+    if not matches:
         raise UnknownSchemaError(
             f"{table.source_path}: columns {sorted(columns)} match no known layout"
         )
-    if len(keep) > 1:
-        names = ", ".join(sorted(k.value for k in keep))
+    if len(matches) > 1:
+        names = ", ".join(sorted(k.value for k in matches))
         raise AmbiguousSchemaError(f"{table.source_path}: matches {names}")
-    return keep.pop()
+    return matches.pop()
 
 
 def parse_year_cell(cell: str) -> tuple[int, int | None]:
@@ -246,52 +236,31 @@ def _parse_number(cell: str, row: int = 0, column: str = "") -> float | None:
         raise UnparseableNumberError(cell, row, column) from None
 
 
-@dataclass(frozen=True)
-class RowError:
-    """A hard per-row failure captured in collect mode."""
-
-    row: int
-    error: DataError
-
-    def __str__(self) -> str:
-        return f"row {self.row}: {self.error}"
-
-
 @dataclass
 class CoercionResult:
     kind: SchemaKind
     records: list = field(default_factory=list)
     null_report: NullReport = None  # type: ignore[assignment]
-    errors: list[RowError] = field(default_factory=list)
     # raw measure column -> canonical measure; empty for anomaly tables
     measure_columns: dict[str, str] = field(default_factory=dict)
 
 
-def coerce_records(
-    table: RawTable, kind: SchemaKind, on_error: str = "raise"
-) -> CoercionResult:
+def coerce_records(table: RawTable, kind: SchemaKind) -> CoercionResult:
     """Turn string rows into typed records with an explicit null census.
 
     Region records come out ISO-normalised: each distinct entity name is
     looked up once in the bundled code table, and a recognised name takes
     its canonical spelling, its code (unless the row has one) and its
-    aggregate flag; an unrecognised name passes through unchanged.  Every
-    non-key column of a disaster table is a measure, listed in
-    ``result.measure_columns``.
+    aggregate flag; an unrecognised name passes through unchanged.  A CODE
+    cell that is not three letters A-Z counts as absent.  Every non-key column
+    of a disaster table is a measure, listed in ``result.measure_columns``.
 
     Conversion runs a column at a time and converts each distinct cell of a
-    column once; records are then built row by row.  A row's fault is its
-    first cell that does not convert, key columns before measures: its
-    error names the row and column, and only the nulls in the columns
-    before it are counted.  A record that fails validation names its row
-    too.
-
-    ``on_error="raise"`` aborts on the first bad row; ``"collect"`` keeps
-    going and files each failure as a RowError so that
-    ``len(records) + len(errors) == len(table.rows)``.
+    column once; records are then built row by row.  The first bad row
+    raises: its fault is its first cell that does not convert, key columns
+    before measures, and its error names the row and column.  A record that
+    fails validation names its row too.
     """
-    if on_error not in ("raise", "collect"):
-        raise ValueError(f"on_error must be 'raise' or 'collect', not {on_error!r}")
     columns = _upper_columns(table)
     null_counts = {col: 0 for col in table.header}
     result = CoercionResult(kind=kind)
@@ -315,25 +284,16 @@ def coerce_records(
         _convert_column(cells_by_column[idx], convert, position, faults)
         for position, (_, idx, convert) in enumerate(plan)
     ]
-    # a bad row counts the nulls before its fault only
     for position in range(len(keys), len(plan)):
-        values = converted[position]
-        null_counts[plan[position][0]] += values.count(None) - sum(
-            values[i - 1] is None for i, fault in faults.items() if fault < position
-        )
+        null_counts[plan[position][0]] += converted[position].count(None)
 
     for i, values in enumerate(zip(*converted), start=1):
+        if i in faults:
+            column, idx, convert = plan[faults[i]]
+            convert(table.rows[i - 1][idx], i, column)  # raises, naming row and column
         try:
-            if i in faults:
-                column, idx, convert = plan[faults[i]]
-                convert(table.rows[i - 1][idx], i, column)  # raises, naming row and column
             record = make(*values)
         except DataError as exc:
-            if on_error == "collect":
-                result.errors.append(RowError(i, exc))
-                continue
-            if i in faults:
-                raise
             # a record that fails validation does not know its row
             raise type(exc)(f"row {i}: {exc}") from None
         if record is not None:
@@ -398,7 +358,7 @@ def _year_only(cell: str, row: int = 0, column: str = "") -> int:
 
 def _code_cell(cell: str, row: int = 0, column: str = "") -> str | None:
     code = cell.strip().upper()
-    return None if code.lower() in NULL_TOKENS else code
+    return code if CODE_RE.match(code) else None
 
 
 def _key(table: RawTable, columns: dict[str, str], upper: str, convert):

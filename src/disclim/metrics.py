@@ -120,8 +120,11 @@ def region_totals(corpus: Corpus, measure: str, year: int | None = None) -> dict
 
     Keyed by ISO code, or by name for a region without one, which the
     choropleth then reports as missing; aggregate rows are left out, and two
-    entity names sharing one code raise DataError.
+    entity names sharing one code raise DataError, as does a corpus with no
+    region records.
     """
+    if not corpus.region_records:
+        raise DataError("corpus has no region records")
     records = [rec for rec in corpus.region_records
                if not rec.aggregate and (year is None or rec.year == year)]
     values: dict[str, float] = {}

@@ -292,6 +292,9 @@ def test_type_readers_match_the_old_loops(types, measure):
 def test_region_totals_match_the_old_loop(regions, measure, year):
     corpus = Corpus(region_records=tuple(regions))
     got = _outcome(region_totals, corpus, measure, year)
+    if not regions:  # the oracle has no check of its own for an empty region table
+        assert got == ("raised", DataError, "corpus has no region records")
+        return
     old = _outcome(old_choropleth_inputs, corpus, measure, year)
     repeats = _repeats((rec.iso or rec.entity, rec.year) for rec in regions if not rec.aggregate)
     if repeats and got[0] == old[0] == "ok":

@@ -365,6 +365,9 @@ class TestChart:
          (2, "disclim: entities without ISO codes: Lemuria, Mu\n")),
         ("India,IND,2001,5\nBharat,IND,2001,1\n",
          (2, "disclim: two entities map to IND\n")),
+        # a code cell that is not alpha-3 is no code
+        ("Kosovo,OWID_KOS,2001,2\nIndia,IND,2001,5\n",
+         (2, "disclim: entities without ISO codes: Kosovo\n")),
     ])
     def test_choropleth_keys_by_record_code(self, tmp_path, capsys, rows, expected):
         source = tmp_path / "region.csv"
@@ -399,6 +402,14 @@ class TestChart:
                      "--corpus", str(corpus_dir), "--out", str(tmp_path / "out")]) == 0
         doc = json.loads((tmp_path / "out" / "timeseries.chart").read_text())
         assert doc["payload"]["series"] == [{"label": "Mu", "values": [2.0]}]
+
+    def test_map_of_a_corpus_without_regions(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        save_corpus(load_bundled_corpus([SchemaKind.DISASTER_TYPE, SchemaKind.ANOMALY]),
+                    corpus_dir)
+        for argv in (["chart", "--kind", "choropleth"], ["report"]):
+            assert main([*argv, "--corpus", str(corpus_dir), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == "disclim: corpus has no region records\n"
 
     def test_heatmap_kind(self, tmp_path):
         assert main(["chart", "--kind", "heatmap", "--out", str(tmp_path)]) == 0
@@ -537,6 +548,19 @@ class TestParser:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--anomaly", str(FIXTURES / "anomaly_sample.csv"), "--out", "x"],
+        ["ingest", "--anomaly", str(FIXTURES / "anomaly_sample.csv"), "--significance", "0.5"],
+        ["chart", "--kind", "sunburst", "--significance", "0.5"],
+    ])
+    def test_a_flag_the_command_does_not_read(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"disclim: unrecognized arguments: {' '.join(argv[-2:])}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBundledTables:
