@@ -270,20 +270,28 @@ def render_heatmap_svg(matrix: CorrelationMatrix) -> bytes:
             f'fill="#111111" text-anchor="end">{_escape(label)}</text>'
         )
 
+    # the matrix is symmetric: style each unordered pair once, for both cells
+    styles = {}
+    for i in range(k):
+        for j in range(i, k):
+            value = matrix.values[i][j]
+            if value is not None:
+                rgb = _ramp_rgb(value)
+                text_fill = "#111111" if _luminance(rgb) > 140 else "#ffffff"
+                styles[i, j] = styles[j, i] = (_rgb_to_hex(rgb), text_fill, f"{value:.2f}")
+
     for i in range(k):
         for j in range(k):
             x = left + j * cell
             y = top + i * cell
-            value = matrix.values[i][j]
-            if value is None:
+            style = styles.get((i, j))
+            if style is None:
                 parts.append(
                     f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
                     f'fill="url(#undef)" stroke="#ffffff"/>'
                 )
                 continue
-            rgb = _ramp_rgb(value)
-            fill = _rgb_to_hex(rgb)
-            text_fill = "#111111" if _luminance(rgb) > 140 else "#ffffff"
+            fill, text_fill, label = style
             parts.append(
                 f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
                 f'fill="{fill}" stroke="#ffffff"/>'
@@ -291,7 +299,7 @@ def render_heatmap_svg(matrix: CorrelationMatrix) -> bytes:
             parts.append(
                 f'<text x="{x + cell // 2}" y="{y + cell // 2 + 4}" '
                 f'font-family="sans-serif" font-size="11" fill="{text_fill}" '
-                f'text-anchor="middle">{value:.2f}</text>'
+                f'text-anchor="middle">{label}</text>'
             )
 
     bar_x = left + k * cell + pad

@@ -297,7 +297,9 @@ def _cmd_report(args) -> int:
     config = _resolve_config(args)
     corpus = _resolve_corpus(config, args)
     out = Path(config.out)
-    written: list[str] = []
+    # every artifact is built before the first is written, so that a report
+    # that fails leaves no partial set behind
+    artifacts: dict[str, bytes] = {}
     summary: dict = {"significance_threshold": config.significance, "matrices": {}}
 
     # the anomaly and each type against each measure, built and aligned once
@@ -307,9 +309,8 @@ def _cmd_report(args) -> int:
         for against, table in tables.items():
             matrix = stats.correlation_matrix(table, method)
             stem = f"correlation_{method}_{against}"
-            _write_atomic(out / f"{stem}.csv", matrix.to_delimited().encode("utf-8"))
-            _write_atomic(out / f"{stem}.svg", charts.render_heatmap_svg(matrix))
-            written.extend([f"{stem}.csv", f"{stem}.svg"])
+            artifacts[f"{stem}.csv"] = matrix.to_delimited().encode("utf-8")
+            artifacts[f"{stem}.svg"] = charts.render_heatmap_svg(matrix)
             summary["matrices"][stem] = {
                 "method": method,
                 "against": against,
@@ -329,24 +330,24 @@ def _cmd_report(args) -> int:
         "choropleth": charts.emit_chart("choropleth", metrics.region_totals(corpus, "deaths")),
     }
     for name, doc in documents.items():
-        _write_atomic(out / f"{name}.chart", doc.to_bytes())
-        written.append(f"{name}.chart")
+        artifacts[f"{name}.chart"] = doc.to_bytes()
 
     summary["flood_share_of_events"] = round(
         metrics.overall_share(corpus, DisasterType.FLOOD, "count"), 6
     )
-    summary["artifacts"] = sorted(written)
-    _write_atomic(
-        out / "summary.json",
-        (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-    )
-
-    lines = [f"report: {len(written)} artifacts in {out}"]
+    summary["artifacts"] = sorted(artifacts)
+    lines = [f"report: {len(artifacts)} artifacts in {out}"]
     for stem, entry in sorted(summary["matrices"].items()):
         for a, b, r in entry["significant"]:
             lines.append(f"  {stem}: {a} ~ {b}: {r}")
     text = "\n".join(lines) + "\n"
-    _write_atomic(out / "summary.txt", text.encode("utf-8"))
+    artifacts["summary.json"] = (
+        json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    ).encode("utf-8")
+    artifacts["summary.txt"] = text.encode("utf-8")
+
+    for name, payload in artifacts.items():
+        _write_atomic(out / name, payload)
     sys.stdout.write(text)
     return 0
 

@@ -9,6 +9,14 @@ variant switch).
 Missing data is handled by pairwise-complete deletion: each matrix cell
 keeps exactly the years where both series have a value, and records the
 effective n it was computed from.  Undefined cells stay undefined.
+
+A matrix calls ``pearson`` once per pair.  Spearman and Kendall matrices
+share per-column work instead: each column is sorted once, and its ranks
+within every partner's overlap are read off counts along that sort; the
+Kendall sums of every pair come from products of per-column sign blocks.
+``spearman``, ``kendall`` and ``rank_average_ties`` are the two- and
+one-column cases of the same helpers, so a matrix cell equals the scalar
+estimator on the pair's completed values, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,20 +39,10 @@ MIN_PAIRS = 3
 DEFAULT_SIGNIFICANCE = 0.8
 
 
-def _present(column: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray]:
-    """A column as float64 values (None as nan) plus its presence mask."""
-    mask = np.fromiter((v is not None for v in column), dtype=bool, count=len(column))
-    return np.array(column, dtype=float), mask
-
-
-def _complete(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """The values of two ``_present`` columns where both are present."""
-    (ax, mx), (ay, my) = x, y
-    both = mx & my
-    n = int(np.count_nonzero(both))
-    if n < MIN_PAIRS:
-        raise TooFewPairsError(n, MIN_PAIRS)
-    return ax[both], ay[both]
+def _stacked(columns) -> tuple[np.ndarray, np.ndarray]:
+    """Columns as one k x N float64 array (None as nan) plus its presence mask."""
+    present = np.array([[v is not None for v in column] for column in columns], dtype=bool)
+    return np.array(columns, dtype=float), present
 
 
 def _as_checked_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -87,18 +85,33 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return _clamp(float(np.dot(dx, dy)) / denominator)
 
 
-def _average_ranks(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """1-based average ranks of *a*, and whether any value is tied."""
-    n = a.size
-    order = np.argsort(a, kind="stable")
-    ordered = a[order]
-    starts = np.flatnonzero(np.concatenate(([True], np.not_equal(ordered[1:], ordered[:-1]))))
-    ends = np.append(starts[1:], n)
-    ranks = np.empty(n, dtype=float)
-    # a group spanning sorted positions s..e-1 shares rank (s + 1 + e) / 2,
-    # an exact half, so an untied value gets exactly s + 1
-    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
-    return ranks, starts.size < n
+def _overlap_ranks(data: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Twice the average rank of each value within every column pair's overlap.
+
+    ``ranks[i, j, t]`` is 2*less + eq + 1 for column i's value in year t,
+    where less and eq count the years both i and j have whose value in i is
+    below, or equal to, it.  That is twice the 1-based average rank of the
+    value among the pair's completed values, so halving it is exact.  Both
+    counts are read off column j's presence, summed along one stable sort
+    of column i.  ``tied[i, j]`` says whether two of those values are equal.
+    Cells for years column i lacks are 0.
+    """
+    k, n = data.shape
+    ranks = np.zeros((k, k, n), dtype=np.int32)
+    tied = np.zeros((k, k), dtype=bool)
+    for i in range(k):
+        years = np.flatnonzero(present[i])
+        order = years[np.argsort(data[i, years], kind="stable")]
+        ordered = data[i, order]
+        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        ends = np.append(starts[1:], order.size)
+        # seen[j, p]: how many of the first p sorted years column j has
+        seen = np.zeros((k, order.size + 1), dtype=np.int32)
+        np.cumsum(present[:, order], axis=1, out=seen[:, 1:])
+        below, through = seen[:, starts], seen[:, ends]
+        ranks[i][:, order] = np.repeat(below + through + 1, ends - starts, axis=1)
+        tied[i] = (through - below > 1).any(axis=1)
+    return ranks, tied
 
 
 def rank_average_ties(values: Sequence[float]) -> tuple[float, ...]:
@@ -106,7 +119,23 @@ def rank_average_ties(values: Sequence[float]) -> tuple[float, ...]:
     a = np.asarray(values, dtype=float)
     if not np.isfinite(a).all():
         raise DataError("non-finite values in input")
-    return tuple(_average_ranks(a)[0].tolist())
+    ranks, _ = _overlap_ranks(a[np.newaxis], np.ones((1, a.size), dtype=bool))
+    return tuple((ranks[0, 0] / 2).tolist())
+
+
+def _spearman_cells(data: np.ndarray, present: np.ndarray):
+    """Spearman's rho of a column pair (i, j) over the years *both* marks."""
+    ranks, tied = _overlap_ranks(data, present)
+
+    def cell(i: int, j: int, both: np.ndarray) -> float:
+        rx, ry = ranks[i, j][both] / 2, ranks[j, i][both] / 2
+        if not (tied[i, j] or tied[j, i]):
+            n = rx.size
+            d = rx - ry
+            return _clamp(1.0 - 6.0 * float(np.dot(d, d)) / (n * (n * n - 1)))
+        return pearson(rx, ry)
+
+    return cell
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
@@ -117,13 +146,8 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     agree exactly when no ties exist.
     """
     ax, ay = _as_checked_arrays(x, y)
-    rx, x_tied = _average_ranks(ax)
-    ry, y_tied = _average_ranks(ay)
-    if not x_tied and not y_tied:
-        n = ax.size
-        d = rx - ry
-        return _clamp(1.0 - 6.0 * float(np.dot(d, d)) / (n * (n * n - 1)))
-    return pearson(rx, ry)
+    every = np.ones((2, ax.size), dtype=bool)
+    return _spearman_cells(np.stack((ax, ay)), every)(0, 1, every[0])
 
 
 # (later, earlier) index of every unordered pair among the first N
@@ -139,6 +163,49 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _pairs[0][:m], _pairs[1][:m]
 
 
+# column x year-pair sign cells held at once while summing Kendall's signs
+_SIGN_BLOCK = 1 << 13
+
+
+def _kendall_cells(data: np.ndarray, present: np.ndarray, variant: str):
+    """Kendall's tau of a column pair (i, j) over the years *both* marks.
+
+    For years a < b, column i's sign is sign(x_b - x_a) if it has both years
+    and 0 otherwise.  Summed over every year pair, signs times signs give
+    each column pair's concordant/discordant surplus, and sign magnitudes
+    times the partner's presence give the year pairs both columns have that
+    are untied in the first.  Signs are -1, 0 or 1, so the float products
+    sum to exact integers, one block of year pairs at a time.
+    """
+    k, n = data.shape
+    later, earlier = _pair_indices(n)
+    surplus = np.zeros((k, k))
+    untied = np.zeros((k, k))
+    step = max(1, _SIGN_BLOCK // k)
+    for start in range(0, later.size, step):
+        b, a = later[start : start + step], earlier[start : start + step]
+        # an overflowing difference keeps its sign as +/-inf, and the nan of
+        # a missing year compares false both ways
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = data[:, b] - data[:, a]
+        signs = (diff > 0).astype(float) - (diff < 0)
+        surplus += signs @ signs.T
+        if variant == "tau-b":
+            untied += np.abs(signs) @ (present[:, b] & present[:, a]).T.astype(float)
+
+    def cell(i: int, j: int, both: np.ndarray) -> float:
+        total = int(surplus[i, j])
+        if variant == "tau-a":
+            m = int(np.count_nonzero(both))
+            return _clamp(total / (m * (m - 1) // 2))
+        denom = int(untied[i, j]) * int(untied[j, i])
+        if denom == 0:
+            raise ZeroVarianceError("fully tied series: tau-b denominator is zero")
+        return _clamp(total / math.sqrt(denom))
+
+    return cell
+
+
 def kendall(x: Sequence[float], y: Sequence[float], variant: str = "tau-a") -> float:
     """Kendall's tau from the signs of every pairwise difference.
 
@@ -150,17 +217,8 @@ def kendall(x: Sequence[float], y: Sequence[float], variant: str = "tau-a") -> f
     if variant not in ("tau-a", "tau-b"):
         raise ValueError(f"variant must be 'tau-a' or 'tau-b', not {variant!r}")
     ax, ay = _as_checked_arrays(x, y)
-    later, earlier = _pair_indices(ax.size)
-    sx = np.sign(ax[later] - ax[earlier])
-    sy = np.sign(ay[later] - ay[earlier])
-    # signs are -1, 0 or 1, so the surplus and the counts are exact integers
-    surplus = int(np.dot(sx, sy))
-    if variant == "tau-a":
-        return _clamp(surplus / later.size)
-    denom = int(np.count_nonzero(sx)) * int(np.count_nonzero(sy))
-    if denom == 0:
-        raise ZeroVarianceError("fully tied series: tau-b denominator is zero")
-    return _clamp(surplus / math.sqrt(denom))
+    every = np.ones((2, ax.size), dtype=bool)
+    return _kendall_cells(np.stack((ax, ay)), every, variant)(0, 1, every[0])
 
 
 METHODS = ("pearson", "spearman", "kendall-tau-a", "kendall-tau-b")
@@ -183,14 +241,13 @@ def normalize_method(name: str) -> str:
         raise ValueError(f"unknown correlation method {name!r}") from None
 
 
-def _estimator(method: str):
+def _cells(method: str, data: np.ndarray, present: np.ndarray):
+    """*method*'s coefficient as a function of a column pair (i, j) and its overlap *both*."""
     if method == "pearson":
-        return pearson
+        return lambda i, j, both: pearson(data[i][both], data[j][both])
     if method == "spearman":
-        return spearman
-    if method == "kendall-tau-a":
-        return lambda x, y: kendall(x, y, "tau-a")
-    return lambda x, y: kendall(x, y, "tau-b")
+        return _spearman_cells(data, present)
+    return _kendall_cells(data, present, method.removeprefix("kendall-"))
 
 
 @dataclass(frozen=True)
@@ -221,7 +278,9 @@ class CorrelationMatrix:
                     continue
                 if not -1.0 <= v <= 1.0:
                     raise DataError(f"cell ({i},{j}) out of range: {v!r}")
-                if self.values[j][i] != v:
+                mirror = self.values[j][i]
+                # exactly: -0.0 == 0.0, but the two print differently
+                if mirror != v or (v == 0 and math.copysign(1.0, mirror) != math.copysign(1.0, v)):
                     raise DataError(f"matrix not symmetric at ({i},{j})")
 
     @property
@@ -261,25 +320,24 @@ class CorrelationMatrix:
 def correlation_matrix(table: JoinedTable, method: str = "pearson") -> CorrelationMatrix:
     """Coefficient for every unordered column pair after pairwise completion.
 
-    Each column becomes a float64 array and a presence mask once per call;
-    a pair is completed by ANDing the two masks, keeping exactly the years
-    where both series have a value.  Exactly one estimator call is issued per
-    pair with at least MIN_PAIRS complete values; the (j, i) mirror is
-    copied, and the diagonal is set (not computed) to 1 where the column
-    has at least MIN_PAIRS defined values and is not constant.
+    The columns become one float64 array and one presence mask per call; a
+    pair is completed by ANDing its two masks, keeping exactly the years
+    where both series have a value.  A pair with at least MIN_PAIRS
+    complete values gets one ``pearson`` call, or a Spearman or Kendall
+    cell read off work done once per column, and raises ``DataError`` if
+    any of those values is non-finite.  The (j, i) mirror is copied, and
+    the diagonal is set (not computed) to 1 where the column has at least
+    MIN_PAIRS defined values and is not constant.
     """
     method = normalize_method(method)
-    estimate = _estimator(method)
     k = len(table.labels)
     if k < 2:
         raise EmptyMatrixError(f"need at least 2 series, got {k}")
     values: list[list[float | None]] = [[None] * k for _ in range(k)]
-    counts = [[0] * k for _ in range(k)]
     reasons: dict[tuple[int, int], str] = {}
 
     for i, column in enumerate(table.columns):
         defined = [v for v in column if v is not None]
-        counts[i][i] = len(defined)
         if len(defined) < MIN_PAIRS:
             reasons[(i, i)] = f"only {len(defined)} defined values"
         elif min(defined) == max(defined):
@@ -287,22 +345,29 @@ def correlation_matrix(table: JoinedTable, method: str = "pearson") -> Correlati
         else:
             values[i][i] = 1.0
 
-    present = [_present(column) for column in table.columns]
+    data, present = _stacked(table.columns)
+    weights = present.astype(float)
+    overlap = (weights @ weights.T).astype(int)
+    if not np.isfinite(data[present]).all():
+        # the non-finite values of either column in each pair's overlap
+        bad = (present & ~np.isfinite(data)).astype(float) @ weights.T
+        bad += bad.T
+        np.fill_diagonal(bad, 0)
+        if ((bad > 0) & (overlap >= MIN_PAIRS)).any():
+            raise DataError("non-finite values in input")
+
+    counts = overlap.tolist()
+    cell = _cells(method, data, present)
     for i in range(k):
         for j in range(i + 1, k):
-            try:
-                x, y = _complete(present[i], present[j])
-            except TooFewPairsError as exc:
-                counts[i][j] = counts[j][i] = exc.n
-                reasons[(i, j)] = reasons[(j, i)] = str(exc)
+            n = counts[i][j]
+            if n < MIN_PAIRS:
+                reasons[(i, j)] = reasons[(j, i)] = str(TooFewPairsError(n, MIN_PAIRS))
                 continue
-            counts[i][j] = counts[j][i] = x.size
             try:
-                r = estimate(x, y)
+                values[i][j] = values[j][i] = cell(i, j, present[i] & present[j])
             except ZeroVarianceError as exc:
                 reasons[(i, j)] = reasons[(j, i)] = str(exc)
-                continue
-            values[i][j] = values[j][i] = r
 
     return CorrelationMatrix(
         labels=table.labels,

@@ -480,6 +480,16 @@ class TestReport:
         assert calls == {"default_series": 2, "build_series": 18, "anomaly_series": 2,
                          "align_union": 2}
 
+    def test_a_failed_report_writes_nothing(self, tmp_path, capsys):
+        # the choropleth fails after every matrix is built; none may be written
+        corpus_dir = tmp_path / "corpus"
+        save_corpus(load_bundled_corpus([SchemaKind.DISASTER_TYPE, SchemaKind.ANOMALY]),
+                    corpus_dir)
+        out = tmp_path / "out"
+        assert main(["report", "--corpus", str(corpus_dir), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "disclim: corpus has no region records\n"
+        assert not out.exists()
+
 
 class TestConfig:
     def test_config_file_supplies_defaults(self, tmp_path):

@@ -1,5 +1,6 @@
 """Law-style checks: every invariant the estimators and transforms promise."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from disclim.charts import emit_chart, ramp_position
 from disclim.corpus import AnnualSeries, JoinedTable, align_union, integrate_on_year
 from disclim.errors import EmptyIntersectionError, TooFewPairsError, ZeroVarianceError
+from disclim import stats
 from disclim.ingest import COMMA, TAB, RawTable, parse_delimited
 from disclim.metrics import news_intensity, shares_by_group, sunburst_deaths_affected
 from disclim.stats import (
@@ -23,6 +25,11 @@ from conftest import assert_kendall_matches_loop, census_by_loop
 
 # tie-rich integer draws so rank and census paths see heavy duplication
 tie_values = st.integers(min_value=-6, max_value=6)
+# tie draws plus magnitudes whose differences overflow, signed zeros and the
+# smallest subnormal, for the matrix paths
+table_values = st.one_of(
+    tie_values.map(float), st.sampled_from([1e300, -1e300, 0.0, -0.0, 5e-324])
+)
 tame_floats = st.floats(
     min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False
 )
@@ -134,8 +141,8 @@ def gappy_tables(draw):
     columns = []
     for _ in range(draw(st.integers(min_value=2, max_value=6))):
         kind = draw(st.sampled_from(["tied", "constant", "sparse"]))
-        value = st.just(draw(tie_values)) if kind == "constant" else tie_values
-        cells = draw(st.lists(st.one_of(st.none(), value.map(float)), min_size=n, max_size=n))
+        value = st.just(draw(table_values)) if kind == "constant" else table_values
+        cells = draw(st.lists(st.one_of(st.none(), value), min_size=n, max_size=n))
         if kind == "sparse":
             defined = [i for i, v in enumerate(cells) if v is not None]
             for i in defined[draw(st.integers(0, 2)):]:
@@ -189,16 +196,52 @@ def _matrix_by_pairs(table, method):
     return tuple(map(tuple, values)), tuple(map(tuple, counts)), reasons
 
 
+def _hex(values):
+    """Cells as exact text, so that -0.0 and 0.0 differ."""
+    return [[None if v is None else float.hex(v) for v in row] for row in values]
+
+
+def _assert_matrix_by_pairs(table):
+    for method in METHODS:
+        matrix = correlation_matrix(table, method)
+        values, counts, reasons = _matrix_by_pairs(table, method)
+        assert _hex(matrix.values) == _hex(values), method
+        assert matrix.counts == counts, method
+        assert matrix.reasons == reasons, method
+
+
+def _wide_table(seed, k=41, n=150):
+    """k tie-heavy columns over n years: 40% zeros, gaps and staggered starts."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for _ in range(k):
+        start = int(rng.integers(0, n // 2))
+        cells = [None] * start
+        for _ in range(start, n):
+            draw = rng.random()
+            if draw < 0.2:
+                cells.append(None)
+            elif draw < 0.6:
+                cells.append(0.0)
+            else:
+                cells.append(float(rng.integers(1, 40)))
+        columns.append(tuple(cells))
+    labels = tuple(f"s{i}" for i in range(k))
+    return JoinedTable(years=tuple(range(n)), labels=labels, columns=tuple(columns))
+
+
 class TestMatrixExactness:
     @settings(max_examples=150)
     @given(gappy_tables())
     def test_matrix_equals_per_pair_completion(self, table):
-        for method in METHODS:
-            matrix = correlation_matrix(table, method)
-            values, counts, reasons = _matrix_by_pairs(table, method)
-            assert matrix.values == values
-            assert matrix.counts == counts
-            assert matrix.reasons == reasons
+        _assert_matrix_by_pairs(table)
+
+    def test_wide_table_equals_per_pair_completion(self):
+        table = _wide_table(seed=20)
+        k, n = len(table.labels), len(table.years)
+        # Kendall's signs are summed over several blocks of year pairs
+        assert n * (n - 1) // 2 > 2 * (stats._SIGN_BLOCK // k)
+        _assert_matrix_by_pairs(table)
 
 
 class TestJoins:

@@ -384,7 +384,15 @@ class TestCorrelationMatrix:
             with pytest.raises(DataError, match="non-finite"):
                 correlation_matrix(table, method)
         clear = JoinedTable(years=(1, 2, 3, 4), labels=("a", "c"), columns=columns[::2])
-        assert correlation_matrix(clear, "pearson").counts[0][1] == 3
+        # a nan or inf outside every completed pair is never read
+        stray = JoinedTable(years=(1, 2, 3, 4), labels=("a", "b", "c"), columns=(
+            (math.nan, math.inf, None, None), (2.0, 1.0, 3.0, 5.0), (1.0, 3.0, 2.0, 4.0)))
+        for method in METHODS:
+            assert correlation_matrix(clear, method).counts[0][1] == 3
+            matrix = correlation_matrix(stray, method)
+            assert matrix.counts[0] == (2, 2, 2)
+            assert matrix.values[0] == (None, None, None)
+            assert matrix.values[1][2] is not None
 
     def test_too_few_series(self):
         table = align_union([AnnualSeries("a", (2001, 2002), (1.0, 2.0))])
@@ -447,4 +455,8 @@ class TestCorrelationMatrix:
                               ((1, 1), (1, 1)), "pearson")
         with pytest.raises(DataError, match="symmetric"):
             CorrelationMatrix(("a", "b"), ((1.0, 0.5), (0.4, 1.0)),
+                              ((1, 1), (1, 1)), "pearson")
+        # the heatmap styles (i, j) and (j, i) once, and -0.0 prints as "-0.00"
+        with pytest.raises(DataError, match="symmetric"):
+            CorrelationMatrix(("a", "b"), ((1.0, -0.0), (0.0, 1.0)),
                               ((1, 1), (1, 1)), "pearson")
