@@ -10,13 +10,17 @@ Missing data is handled by pairwise-complete deletion: each matrix cell
 keeps exactly the years where both series have a value, and records the
 effective n it was computed from.  Undefined cells stay undefined.
 
-A matrix calls ``pearson`` once per pair.  Spearman and Kendall matrices
-share per-column work instead: each column is sorted once, and its ranks
-within every partner's overlap are read off counts along that sort; the
-Kendall sums of every pair come from products of per-column sign blocks.
-``spearman``, ``kendall`` and ``rank_average_ties`` are the two- and
-one-column cases of the same helpers, so a matrix cell equals the scalar
-estimator on the pair's completed values, bit for bit.
+A Pearson matrix calls ``pearson`` once per pair, and ``pearson`` reads
+its finite and constant checks off each series' two extremes.  Spearman
+and Kendall matrices share per-column work instead: each column is sorted
+once, and its average ranks within every partner's overlap are read off
+counts along that sort, so a cell indexes two rows of ranks (and calls
+``pearson`` on them when ties need it); the Kendall sums of every pair
+come from products of per-column sign blocks, and every tau from one
+array division, so a cell is a lookup.  ``spearman``, ``kendall`` and
+``rank_average_ties`` are the two- and one-column cases of the same
+helpers, so a matrix cell equals the scalar estimator on the pair's
+completed values, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,13 +49,18 @@ def _stacked(columns) -> tuple[np.ndarray, np.ndarray]:
     return np.array(columns, dtype=float), present
 
 
-def _as_checked_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
+def _as_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
     ax = np.asarray(x, dtype=float)
     ay = np.asarray(y, dtype=float)
     if ax.shape != ay.shape or ax.ndim != 1:
         raise DataError(f"incompatible shapes: {ax.shape} vs {ay.shape}")
     if ax.size < 2:
         raise TooFewPairsError(ax.size, 2)
+    return ax, ay
+
+
+def _as_checked_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
+    ax, ay = _as_arrays(x, y)
     if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
         raise DataError("non-finite values in input")
     return ax, ay
@@ -62,21 +71,20 @@ def _clamp(r: float) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Linear correlation, computed in two passes (means, then moments)."""
-    ax, ay = _as_checked_arrays(x, y)
-    if ax.min() == ax.max() or ay.min() == ay.max():
-        raise ZeroVarianceError("constant series has no linear correlation")
-    dx = ax - ax.mean()
-    dy = ay - ay.mean()
+def _centred(a: np.ndarray) -> np.ndarray:
+    # np.add.reduce is the sum ndarray.mean() divides, without its wrapper
+    return a - float(np.add.reduce(a)) / a.size
+
+
+def _moments_r(ax: np.ndarray, ay: np.ndarray) -> float:
+    dx, dy = _centred(ax), _centred(ay)
     moments = float(np.dot(dx, dx)) * float(np.dot(dy, dy))
     if not math.isfinite(moments):
-        # magnitudes past ~1e154 overflow a mean or a moment (numpy warns);
-        # r does not depend on scale, so divide each series by its largest
-        # magnitude and start again
+        # magnitudes past ~1e154 overflow a mean or a moment; r does not
+        # depend on scale, so divide each series by its largest magnitude
+        # and start again
         ax, ay = ax / np.abs(ax).max(), ay / np.abs(ay).max()
-        dx = ax - ax.mean()
-        dy = ay - ay.mean()
+        dx, dy = _centred(ax), _centred(ay)
         moments = float(np.dot(dx, dx)) * float(np.dot(dy, dy))
     denominator = math.sqrt(moments)
     if denominator == 0.0:
@@ -85,19 +93,41 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return _clamp(float(np.dot(dx, dy)) / denominator)
 
 
-def _overlap_ranks(data: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Twice the average rank of each value within every column pair's overlap.
+def pearson(x: Sequence[float], y: Sequence[float]) -> float:
+    """Linear correlation, computed in two passes (means, then moments).
 
-    ``ranks[i, j, t]`` is 2*less + eq + 1 for column i's value in year t,
-    where less and eq count the years both i and j have whose value in i is
-    below, or equal to, it.  That is twice the 1-based average rank of the
-    value among the pair's completed values, so halving it is exact.  Both
-    counts are read off column j's presence, summed along one stable sort
-    of column i.  ``tied[i, j]`` says whether two of those values are equal.
-    Cells for years column i lacks are 0.
+    Each series' two extremes make its checks: nan propagates through both
+    reductions, so a non-finite extreme means a non-finite value, and equal
+    extremes a constant series.  Below 1e100 in magnitude no sum, mean or
+    moment of a series can overflow; past it the moments run with numpy's
+    overflow warnings off, since ``_moments_r`` rescales on overflow.
+    """
+    ax, ay = _as_arrays(x, y)
+    lo_x, hi_x = np.minimum.reduce(ax), np.maximum.reduce(ax)
+    lo_y, hi_y = np.minimum.reduce(ay), np.maximum.reduce(ay)
+    if not (-math.inf < lo_x and hi_x < math.inf and -math.inf < lo_y and hi_y < math.inf):
+        raise DataError("non-finite values in input")
+    if lo_x == hi_x or lo_y == hi_y:
+        raise ZeroVarianceError("constant series has no linear correlation")
+    if max(-lo_x, hi_x, -lo_y, hi_y) < 1e100:
+        return _moments_r(ax, ay)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _moments_r(ax, ay)
+
+
+def _overlap_ranks(data: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, list]:
+    """The average rank of each value within every column pair's overlap.
+
+    ``ranks[i, j, t]`` is (2*less + eq + 1) / 2 for column i's value in year
+    t, where less and eq count the years both i and j have whose value in i
+    is below, or equal to, it: the 1-based average rank of the value among
+    the pair's completed values.  The numerator is an integer, so halving it
+    is exact.  Both counts are read off column j's presence, summed along
+    one stable sort of column i.  ``tied[i][j]`` says whether two of those
+    values are equal.  Cells for years column i lacks are 0.
     """
     k, n = data.shape
-    ranks = np.zeros((k, k, n), dtype=np.int32)
+    ranks = np.zeros((k, k, n))
     tied = np.zeros((k, k), dtype=bool)
     for i in range(k):
         years = np.flatnonzero(present[i])
@@ -109,9 +139,9 @@ def _overlap_ranks(data: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, n
         seen = np.zeros((k, order.size + 1), dtype=np.int32)
         np.cumsum(present[:, order], axis=1, out=seen[:, 1:])
         below, through = seen[:, starts], seen[:, ends]
-        ranks[i][:, order] = np.repeat(below + through + 1, ends - starts, axis=1)
+        ranks[i][:, order] = np.repeat((below + through + 1) / 2, ends - starts, axis=1)
         tied[i] = (through - below > 1).any(axis=1)
-    return ranks, tied
+    return ranks, tied.tolist()
 
 
 def rank_average_ties(values: Sequence[float]) -> tuple[float, ...]:
@@ -120,7 +150,7 @@ def rank_average_ties(values: Sequence[float]) -> tuple[float, ...]:
     if not np.isfinite(a).all():
         raise DataError("non-finite values in input")
     ranks, _ = _overlap_ranks(a[np.newaxis], np.ones((1, a.size), dtype=bool))
-    return tuple((ranks[0, 0] / 2).tolist())
+    return tuple(ranks[0, 0].tolist())
 
 
 def _spearman_cells(data: np.ndarray, present: np.ndarray):
@@ -128,8 +158,8 @@ def _spearman_cells(data: np.ndarray, present: np.ndarray):
     ranks, tied = _overlap_ranks(data, present)
 
     def cell(i: int, j: int, both: np.ndarray) -> float:
-        rx, ry = ranks[i, j][both] / 2, ranks[j, i][both] / 2
-        if not (tied[i, j] or tied[j, i]):
+        rx, ry = ranks[i, j][both], ranks[j, i][both]
+        if not (tied[i][j] or tied[j][i]):
             n = rx.size
             d = rx - ry
             return _clamp(1.0 - 6.0 * float(np.dot(d, d)) / (n * (n * n - 1)))
@@ -150,25 +180,33 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     return _spearman_cells(np.stack((ax, ay)), every)(0, 1, every[0])
 
 
-# (later, earlier) index of every unordered pair among the first N
-# positions, ordered by the later one; any n < N uses a prefix
-_pairs = np.tril_indices(0, -1)
-
-
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    global _pairs
-    m = n * (n - 1) // 2
-    if _pairs[0].size < m:
-        _pairs = np.tril_indices(n, -1)
-    return _pairs[0][:m], _pairs[1][:m]
-
-
-# column x year-pair sign cells held at once while summing Kendall's signs
+# column x year-pair sign cells held at once while summing Kendall's signs,
+# give or take one later year's pairs
 _SIGN_BLOCK = 1 << 13
 
 
+def _pair_blocks(n: int, size: int):
+    """(later, earlier) indices of every year pair among n years, in blocks.
+
+    A block holds the pairs of a range of later years, at least *size* of
+    them unless it is the last; year b is the later year of b pairs, whose
+    numbers start at b(b-1)/2.
+    """
+    start = 1
+    while start < n:
+        stop, count = start + 1, start
+        while stop < n and count < size:
+            count += stop
+            stop += 1
+        later = np.arange(start, stop)
+        firsts = later * (later - 1) // 2
+        earlier = np.arange(firsts[0], firsts[0] + count) - np.repeat(firsts, later)
+        yield np.repeat(later, later), earlier
+        start = stop
+
+
 def _kendall_cells(data: np.ndarray, present: np.ndarray, variant: str):
-    """Kendall's tau of a column pair (i, j) over the years *both* marks.
+    """Kendall's tau of a column pair (i, j) over the years both columns have.
 
     For years a < b, column i's sign is sign(x_b - x_a) if it has both years
     and 0 otherwise.  Summed over every year pair, signs times signs give
@@ -176,14 +214,17 @@ def _kendall_cells(data: np.ndarray, present: np.ndarray, variant: str):
     times the partner's presence give the year pairs both columns have that
     are untied in the first.  Signs are -1, 0 or 1, so the float products
     sum to exact integers, one block of year pairs at a time.
+
+    Every tau is then one array operation: tau-a divides the surplus by the
+    m(m-1)/2 pairs of the overlap m, tau-b by sqrt(untied * untied.T), and
+    a zero tau-b denominator leaves the cell undefined.  Each operand is an
+    exact integer and each operation is correctly rounded, as Python's int
+    arithmetic is, so a cell is a lookup.
     """
     k, n = data.shape
-    later, earlier = _pair_indices(n)
     surplus = np.zeros((k, k))
     untied = np.zeros((k, k))
-    step = max(1, _SIGN_BLOCK // k)
-    for start in range(0, later.size, step):
-        b, a = later[start : start + step], earlier[start : start + step]
+    for b, a in _pair_blocks(n, max(1, _SIGN_BLOCK // k)):
         # an overflowing difference keeps its sign as +/-inf, and the nan of
         # a missing year compares false both ways
         with np.errstate(over="ignore", invalid="ignore"):
@@ -193,15 +234,20 @@ def _kendall_cells(data: np.ndarray, present: np.ndarray, variant: str):
         if variant == "tau-b":
             untied += np.abs(signs) @ (present[:, b] & present[:, a]).T.astype(float)
 
+    if variant == "tau-a":
+        weights = present.astype(float)
+        overlap = weights @ weights.T
+        denominator = overlap * (overlap - 1) / 2
+    else:
+        denominator = np.sqrt(untied * untied.T)
+    tau = np.zeros((k, k))
+    np.divide(surplus, denominator, out=tau, where=denominator > 0)
+    taus, undefined = np.clip(tau, -1.0, 1.0).tolist(), (denominator == 0).tolist()
+
     def cell(i: int, j: int, both: np.ndarray) -> float:
-        total = int(surplus[i, j])
-        if variant == "tau-a":
-            m = int(np.count_nonzero(both))
-            return _clamp(total / (m * (m - 1) // 2))
-        denom = int(untied[i, j]) * int(untied[j, i])
-        if denom == 0:
+        if undefined[i][j]:
             raise ZeroVarianceError("fully tied series: tau-b denominator is zero")
-        return _clamp(total / math.sqrt(denom))
+        return taus[i][j]
 
     return cell
 
@@ -323,11 +369,13 @@ def correlation_matrix(table: JoinedTable, method: str = "pearson") -> Correlati
     The columns become one float64 array and one presence mask per call; a
     pair is completed by ANDing its two masks, keeping exactly the years
     where both series have a value.  A pair with at least MIN_PAIRS
-    complete values gets one ``pearson`` call, or a Spearman or Kendall
-    cell read off work done once per column, and raises ``DataError`` if
-    any of those values is non-finite.  The (j, i) mirror is copied, and
-    the diagonal is set (not computed) to 1 where the column has at least
-    MIN_PAIRS defined values and is not constant.
+    complete values gets one ``pearson`` call, a Spearman cell from two
+    rows of ranks computed once per column (plus a ``pearson`` call on
+    them when either has ties), or a Kendall tau computed for every pair
+    at once; it raises ``DataError`` if any of those values is non-finite.
+    The (j, i) mirror is copied, and the diagonal is set (not computed) to
+    1 where the column has at least MIN_PAIRS defined values and is not
+    constant.
     """
     method = normalize_method(method)
     k = len(table.labels)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,41 @@ from disclim.stats import (
 )
 
 from conftest import assert_kendall_matches_loop, census_by_loop
+
+
+def _two_pass_pearson(x, y):
+    """pearson as it was with an ndarray.mean() per pass, frozen as an oracle."""
+    ax = np.asarray(x, dtype=float)
+    ay = np.asarray(y, dtype=float)
+    if ax.shape != ay.shape or ax.ndim != 1:
+        raise DataError(f"incompatible shapes: {ax.shape} vs {ay.shape}")
+    if ax.size < 2:
+        raise TooFewPairsError(ax.size, 2)
+    if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
+        raise DataError("non-finite values in input")
+    if ax.min() == ax.max() or ay.min() == ay.max():
+        raise ZeroVarianceError("constant series has no linear correlation")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = ax - ax.mean()
+        dy = ay - ay.mean()
+        moments = float(np.dot(dx, dx)) * float(np.dot(dy, dy))
+        if not math.isfinite(moments):
+            ax, ay = ax / np.abs(ax).max(), ay / np.abs(ay).max()
+            dx = ax - ax.mean()
+            dy = ay - ay.mean()
+            moments = float(np.dot(dx, dx)) * float(np.dot(dy, dy))
+    denominator = math.sqrt(moments)
+    if denominator == 0.0:
+        raise ZeroVarianceError("series variance underflows to zero")
+    return max(-1.0, min(1.0, float(np.dot(dx, dy)) / denominator))
+
+
+def _outcome(estimator, *args):
+    """The exact text of the coefficient, or the class and message of the error."""
+    try:
+        return float.hex(estimator(*args))
+    except (DataError, TooFewPairsError, ZeroVarianceError) as exc:
+        return type(exc), str(exc)
 
 
 class TestPearson:
@@ -81,12 +117,33 @@ class TestPearson:
         ([1e300, -1e300, 3e299, 0.0, 2e299], [2e300, 1.0, -1e300, 5e299, 0.0]),
     ], ids=["1e200", "both-1e300"])
     def test_overflowing_moments_match_scipy(self, x, y):
-        # the squared deviations overflow to inf (numpy warns), and the
-        # coefficient must not collapse to 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            ours = pearson(x, y)
+        # the squared deviations overflow to inf, and the coefficient must
+        # not collapse to 0.0; no numpy warning escapes either
+        ours = pearson(x, y)
         theirs = scipy.stats.pearsonr(x, y).statistic
         assert ours == pytest.approx(theirs, abs=1e-12)
+
+    POOLS = {
+        "ties": [0.0, 1.0, 2.0, 3.0],
+        "gaps": [None, None, -1.5, 0.0, 2.0, 7.25, 40.0],
+        "subnormal": [0.0, 5e-324, 1e-323, -5e-324, 1e-160, 3e-155],
+        "1e300": [1e300, -1e300, 3e299, 0.0, 1.0, 2.0],
+        "1e160": [1e160, -1e160, 2.5e159, 0.0, 1.0],
+        "non-finite": [math.nan, math.inf, -math.inf, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+        "constant beside non-finite": [2.0, 2.0, 2.0, 2.0, 2.0, math.nan, math.inf],
+    }
+
+    @pytest.mark.parametrize("pool", POOLS)
+    def test_equals_the_two_pass_oracle(self, pool):
+        rng = np.random.default_rng(sorted(self.POOLS).index(pool))
+        for _ in range(150):
+            n = int(rng.integers(0, 30))
+            x = rng.choice(np.array(self.POOLS[pool], dtype=object), size=n).tolist()
+            y = rng.choice(np.array(self.POOLS[pool] + [4.0, 9.5], dtype=object), size=n).tolist()
+            # pairwise completion, as a matrix cell sees the values
+            kept = [(a, b) for a, b in zip(x, y) if a is not None and b is not None]
+            x, y = [a for a, _ in kept], [b for _, b in kept]
+            assert _outcome(pearson, x, y) == _outcome(_two_pass_pearson, x, y), (x, y)
 
 
 class TestRanks:
@@ -170,6 +227,21 @@ class TestKendall:
         with pytest.raises(ValueError):
             kendall([1, 2, 3], [1, 2, 3], variant="tau-c")
 
+    def test_long_series_leave_no_pair_indices_behind(self):
+        rng = np.random.default_rng(21)
+        x = rng.integers(0, 60, 2000).astype(float)
+        x, y = x.tolist(), (x + rng.integers(0, 60, 2000)).tolist()
+        tracemalloc.start()
+        try:
+            tau_a, tau_b = kendall(x, y, "tau-a"), kendall(x, y, "tau-b")
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a cache of every pair's indices would hold ~32 MB here
+        assert left < 2 * 2**20
+        # the values of the earlier implementation, which kept that cache
+        assert (tau_a.hex(), tau_b.hex()) == ("0x1.fdd8d42c21c39p-2", "0x1.027ffcddbd189p-1")
+
     def test_tau_b_matches_scipy(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
@@ -212,12 +284,12 @@ def _ranks_by_loop(values) -> tuple[float, ...]:
 
 
 class TestAgainstLoops:
-    # n = 2, then sizes past every earlier one and smaller ones after them, so
-    # that the shared pair indices are grown and then reused as a prefix
-    SIZES = (2, 40, 7, 41, 3, 2, 60, 13)
+    # two columns of 100 values sum their signs over two blocks of year
+    # pairs, every smaller size over one
+    SIZES = (2, 40, 7, 41, 3, 2, 60, 13, 100)
 
-    def test_census_and_ranks_on_tie_heavy_input(self, monkeypatch):
-        monkeypatch.setattr(stats, "_pairs", np.tril_indices(0, -1))
+    def test_census_and_ranks_on_tie_heavy_input(self):
+        assert 60 * 59 // 2 < stats._SIGN_BLOCK // 2 < 100 * 99 // 2
         rng = np.random.default_rng(23)
         for n in self.SIZES:
             for _ in range(5):
@@ -226,7 +298,6 @@ class TestAgainstLoops:
                 assert_kendall_matches_loop(x, y)
                 assert rank_average_ties(x) == _ranks_by_loop(x)
                 assert rank_average_ties(y) == _ranks_by_loop(y)
-        assert stats._pairs[0].size == max(self.SIZES) * (max(self.SIZES) - 1) // 2
 
     def test_constant_and_untied_input(self):
         constant, untied = [4.0] * 6, [1, 2, 3, 4, 5, 6]
