@@ -77,13 +77,23 @@ def series_from_mapping(label: str, by_year: dict[int, float]) -> AnnualSeries:
 
 @dataclass(frozen=True)
 class JoinedTable:
-    """Several series aligned on a shared year axis; None marks a gap."""
+    """Several series aligned on a shared year axis; None marks a gap.
+
+    The axis, labels and columns are stored as tuples, so a table cannot
+    change after it is built.  ``_derived`` is private to ``stats``, which
+    keeps there the work every correlation matrix of the table shares; it
+    takes no part in equality, hashing or ``repr``.
+    """
 
     years: tuple[int, ...]
     labels: tuple[str, ...]
     columns: tuple[tuple[float | None, ...], ...]
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "years", tuple(self.years))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
         if len(self.labels) != len(self.columns):
             raise DataError("labels/columns length mismatch")
         for col in self.columns:

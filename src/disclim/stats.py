@@ -10,17 +10,21 @@ Missing data is handled by pairwise-complete deletion: each matrix cell
 keeps exactly the years where both series have a value, and records the
 effective n it was computed from.  Undefined cells stay undefined.
 
-A Pearson matrix calls ``pearson`` once per pair, and ``pearson`` reads
-its finite and constant checks off each series' two extremes.  Spearman
-and Kendall matrices share per-column work instead: each column is sorted
-once, and its average ranks within every partner's overlap are read off
-counts along that sort, so a cell indexes two rows of ranks (and calls
+The four matrices of one table share its per-table work: one float64
+array and one presence mask per table, its pair overlaps, each column's
+diagonal verdict, its non-finite verdict and Kendall's sign sums are
+computed by the table's first matrix and kept with the table.  A Pearson
+matrix calls ``pearson`` once per pair, and ``pearson`` reads its finite
+and constant checks off each series' two extremes.  Spearman and Kendall
+matrices share per-column work instead: each column is sorted once, and
+its average ranks within every partner's overlap are read off counts
+along that sort, so a cell indexes two rows of ranks (and calls
 ``pearson`` on them when ties need it); the Kendall sums of every pair
-come from products of per-column sign blocks, and every tau from one
-array division, so a cell is a lookup.  ``spearman``, ``kendall`` and
-``rank_average_ties`` are the two- and one-column cases of the same
-helpers, so a matrix cell equals the scalar estimator on the pair's
-completed values, bit for bit.
+come from products of per-column sign blocks, summed once for tau-a and
+tau-b together, and every tau from one array division, so a cell is a
+lookup.  ``spearman``, ``kendall`` and ``rank_average_ties`` are the two-
+and one-column cases of the same helpers, so a matrix cell equals the
+scalar estimator on the pair's completed values, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,12 +45,6 @@ from .corpus import JoinedTable
 
 MIN_PAIRS = 3
 DEFAULT_SIGNIFICANCE = 0.8
-
-
-def _stacked(columns) -> tuple[np.ndarray, np.ndarray]:
-    """Columns as one k x N float64 array (None as nan) plus its presence mask."""
-    present = np.array([[v is not None for v in column] for column in columns], dtype=bool)
-    return np.array(columns, dtype=float), present
 
 
 def _as_arrays(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -154,10 +152,11 @@ def rank_average_ties(values: Sequence[float]) -> tuple[float, ...]:
 
 
 def _spearman_cells(data: np.ndarray, present: np.ndarray):
-    """Spearman's rho of a column pair (i, j) over the years *both* marks."""
+    """Spearman's rho of a column pair (i, j) over the years both columns have."""
     ranks, tied = _overlap_ranks(data, present)
 
-    def cell(i: int, j: int, both: np.ndarray) -> float:
+    def cell(i: int, j: int) -> float:
+        both = present[i] & present[j]
         rx, ry = ranks[i, j][both], ranks[j, i][both]
         if not (tied[i][j] or tied[j][i]):
             n = rx.size
@@ -177,7 +176,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """
     ax, ay = _as_checked_arrays(x, y)
     every = np.ones((2, ax.size), dtype=bool)
-    return _spearman_cells(np.stack((ax, ay)), every)(0, 1, every[0])
+    return _spearman_cells(np.stack((ax, ay)), every)(0, 1)
 
 
 # column x year-pair sign cells held at once while summing Kendall's signs,
@@ -205,25 +204,22 @@ def _pair_blocks(n: int, size: int):
         start = stop
 
 
-def _kendall_cells(data: np.ndarray, present: np.ndarray, variant: str):
-    """Kendall's tau of a column pair (i, j) over the years both columns have.
+def _kendall_sums(
+    data: np.ndarray, present: np.ndarray, count_untied: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Kendall's concordant/discordant surplus and untied pair counts, per column pair.
 
     For years a < b, column i's sign is sign(x_b - x_a) if it has both years
     and 0 otherwise.  Summed over every year pair, signs times signs give
     each column pair's concordant/discordant surplus, and sign magnitudes
-    times the partner's presence give the year pairs both columns have that
-    are untied in the first.  Signs are -1, 0 or 1, so the float products
-    sum to exact integers, one block of year pairs at a time.
-
-    Every tau is then one array operation: tau-a divides the surplus by the
-    m(m-1)/2 pairs of the overlap m, tau-b by sqrt(untied * untied.T), and
-    a zero tau-b denominator leaves the cell undefined.  Each operand is an
-    exact integer and each operation is correctly rounded, as Python's int
-    arithmetic is, so a cell is a lookup.
+    times the partner's presence give ``untied[i, j]``, the year pairs both
+    columns have that are untied in column i (None unless *count_untied*:
+    only tau-b reads it).  Signs are -1, 0 or 1, so the float products sum
+    to exact integers, one block of year pairs at a time.
     """
     k, n = data.shape
     surplus = np.zeros((k, k))
-    untied = np.zeros((k, k))
+    untied = np.zeros((k, k)) if count_untied else None
     for b, a in _pair_blocks(n, max(1, _SIGN_BLOCK // k)):
         # an overflowing difference keeps its sign as +/-inf, and the nan of
         # a missing year compares false both ways
@@ -231,20 +227,30 @@ def _kendall_cells(data: np.ndarray, present: np.ndarray, variant: str):
             diff = data[:, b] - data[:, a]
         signs = (diff > 0).astype(float) - (diff < 0)
         surplus += signs @ signs.T
-        if variant == "tau-b":
+        if count_untied:
             untied += np.abs(signs) @ (present[:, b] & present[:, a]).T.astype(float)
+    return surplus, untied
 
+
+def _kendall_cells(sums: tuple[np.ndarray, np.ndarray | None], overlap: np.ndarray, variant: str):
+    """Kendall's tau of a column pair (i, j) from ``_kendall_sums`` and the overlap sizes.
+
+    Every tau is one array operation: tau-a divides the surplus by the
+    m(m-1)/2 pairs of the overlap m, tau-b by sqrt(untied * untied.T), and
+    a zero tau-b denominator leaves the cell undefined.  Each operand is an
+    exact integer and each operation is correctly rounded, as Python's int
+    arithmetic is, so a cell is a lookup.
+    """
+    surplus, untied = sums
     if variant == "tau-a":
-        weights = present.astype(float)
-        overlap = weights @ weights.T
         denominator = overlap * (overlap - 1) / 2
     else:
         denominator = np.sqrt(untied * untied.T)
-    tau = np.zeros((k, k))
+    tau = np.zeros_like(surplus)
     np.divide(surplus, denominator, out=tau, where=denominator > 0)
     taus, undefined = np.clip(tau, -1.0, 1.0).tolist(), (denominator == 0).tolist()
 
-    def cell(i: int, j: int, both: np.ndarray) -> float:
+    def cell(i: int, j: int) -> float:
         if undefined[i][j]:
             raise ZeroVarianceError("fully tied series: tau-b denominator is zero")
         return taus[i][j]
@@ -264,7 +270,8 @@ def kendall(x: Sequence[float], y: Sequence[float], variant: str = "tau-a") -> f
         raise ValueError(f"variant must be 'tau-a' or 'tau-b', not {variant!r}")
     ax, ay = _as_checked_arrays(x, y)
     every = np.ones((2, ax.size), dtype=bool)
-    return _kendall_cells(np.stack((ax, ay)), every, variant)(0, 1, every[0])
+    sums = _kendall_sums(np.stack((ax, ay)), every, count_untied=variant == "tau-b")
+    return _kendall_cells(sums, np.full((2, 2), float(ax.size)), variant)(0, 1)
 
 
 METHODS = ("pearson", "spearman", "kendall-tau-a", "kendall-tau-b")
@@ -287,13 +294,68 @@ def normalize_method(name: str) -> str:
         raise ValueError(f"unknown correlation method {name!r}") from None
 
 
-def _cells(method: str, data: np.ndarray, present: np.ndarray):
-    """*method*'s coefficient as a function of a column pair (i, j) and its overlap *both*."""
+def _table_work(table: JoinedTable) -> dict:
+    """The work every matrix of *table* shares, computed by its first matrix.
+
+    It lives in the table's private ``_derived`` dict, so it lives and dies
+    with the table, and a table cannot change after it is built, so the
+    work cannot go stale.  It holds the stacked array and presence mask,
+    the pair overlaps (as floats and as the matrix's ``counts``), each
+    column's diagonal verdict (None for a diagonal 1, else the reason), and
+    whether a completed pair meets a non-finite value.  The first Kendall
+    matrix adds its sign sums, which tau-a and tau-b share.
+    """
+    work = table._derived
+    if work:
+        return work
+    diagonal = []
+    for column in table.columns:
+        defined = [v for v in column if v is not None]
+        if len(defined) < MIN_PAIRS:
+            diagonal.append(f"only {len(defined)} defined values")
+        elif min(defined) == max(defined):
+            diagonal.append("constant series")
+        else:
+            diagonal.append(None)
+    # the columns as one k x N float64 array (None as nan) and its presence mask
+    present = np.array([[v is not None for v in column] for column in table.columns], dtype=bool)
+    data = np.array(table.columns, dtype=float)
+    weights = present.astype(float)
+    overlap = weights @ weights.T
+    counts = overlap.astype(int)
+    non_finite = False
+    if not np.isfinite(data[present]).all():
+        # the non-finite values of either column in each pair's overlap
+        bad = (present & ~np.isfinite(data)).astype(float) @ weights.T
+        bad += bad.T
+        np.fill_diagonal(bad, 0)
+        non_finite = bool(((bad > 0) & (counts >= MIN_PAIRS)).any())
+    work.update(
+        data=data,
+        present=present,
+        overlap=overlap,
+        counts=tuple(map(tuple, counts.tolist())),
+        diagonal=diagonal,
+        non_finite=non_finite,
+    )
+    return work
+
+
+def _cells(method: str, work: dict):
+    """*method*'s coefficient as a function of a column pair (i, j) of the table behind *work*."""
+    data, present = work["data"], work["present"]
     if method == "pearson":
-        return lambda i, j, both: pearson(data[i][both], data[j][both])
+
+        def cell(i: int, j: int) -> float:
+            both = present[i] & present[j]
+            return pearson(data[i][both], data[j][both])
+
+        return cell
     if method == "spearman":
         return _spearman_cells(data, present)
-    return _kendall_cells(data, present, method.removeprefix("kendall-"))
+    if "kendall" not in work:
+        work["kendall"] = _kendall_sums(data, present)
+    return _kendall_cells(work["kendall"], work["overlap"], method.removeprefix("kendall-"))
 
 
 @dataclass(frozen=True)
@@ -366,46 +428,34 @@ class CorrelationMatrix:
 def correlation_matrix(table: JoinedTable, method: str = "pearson") -> CorrelationMatrix:
     """Coefficient for every unordered column pair after pairwise completion.
 
-    The columns become one float64 array and one presence mask per call; a
-    pair is completed by ANDing its two masks, keeping exactly the years
-    where both series have a value.  A pair with at least MIN_PAIRS
-    complete values gets one ``pearson`` call, a Spearman cell from two
-    rows of ranks computed once per column (plus a ``pearson`` call on
-    them when either has ties), or a Kendall tau computed for every pair
-    at once; it raises ``DataError`` if any of those values is non-finite.
-    The (j, i) mirror is copied, and the diagonal is set (not computed) to
-    1 where the column has at least MIN_PAIRS defined values and is not
-    constant.
+    The columns become one float64 array and one presence mask per table,
+    shared by every matrix of that table (see ``_table_work``); a pair is
+    completed by ANDing its two masks, keeping exactly the years where both
+    series have a value.  A pair with at least MIN_PAIRS complete values
+    gets one ``pearson`` call, a Spearman cell from two rows of ranks
+    computed once per column (plus a ``pearson`` call on them when either
+    has ties), or a Kendall tau computed for every pair at once; every call
+    raises ``DataError`` if any of those values is non-finite.  The (j, i)
+    mirror is copied, and the diagonal is set (not computed) to 1 where the
+    column has at least MIN_PAIRS defined values and is not constant.
     """
     method = normalize_method(method)
     k = len(table.labels)
     if k < 2:
         raise EmptyMatrixError(f"need at least 2 series, got {k}")
+    work = _table_work(table)
+    if work["non_finite"]:
+        raise DataError("non-finite values in input")
     values: list[list[float | None]] = [[None] * k for _ in range(k)]
     reasons: dict[tuple[int, int], str] = {}
-
-    for i, column in enumerate(table.columns):
-        defined = [v for v in column if v is not None]
-        if len(defined) < MIN_PAIRS:
-            reasons[(i, i)] = f"only {len(defined)} defined values"
-        elif min(defined) == max(defined):
-            reasons[(i, i)] = "constant series"
-        else:
+    for i, reason in enumerate(work["diagonal"]):
+        if reason is None:
             values[i][i] = 1.0
+        else:
+            reasons[(i, i)] = reason
 
-    data, present = _stacked(table.columns)
-    weights = present.astype(float)
-    overlap = (weights @ weights.T).astype(int)
-    if not np.isfinite(data[present]).all():
-        # the non-finite values of either column in each pair's overlap
-        bad = (present & ~np.isfinite(data)).astype(float) @ weights.T
-        bad += bad.T
-        np.fill_diagonal(bad, 0)
-        if ((bad > 0) & (overlap >= MIN_PAIRS)).any():
-            raise DataError("non-finite values in input")
-
-    counts = overlap.tolist()
-    cell = _cells(method, data, present)
+    counts = work["counts"]
+    cell = _cells(method, work)
     for i in range(k):
         for j in range(i + 1, k):
             n = counts[i][j]
@@ -413,14 +463,14 @@ def correlation_matrix(table: JoinedTable, method: str = "pearson") -> Correlati
                 reasons[(i, j)] = reasons[(j, i)] = str(TooFewPairsError(n, MIN_PAIRS))
                 continue
             try:
-                values[i][j] = values[j][i] = cell(i, j, present[i] & present[j])
+                values[i][j] = values[j][i] = cell(i, j)
             except ZeroVarianceError as exc:
                 reasons[(i, j)] = reasons[(j, i)] = str(exc)
 
     return CorrelationMatrix(
         labels=table.labels,
         values=tuple(tuple(row) for row in values),
-        counts=tuple(tuple(row) for row in counts),
+        counts=counts,
         method=method,
         reasons=reasons,
     )

@@ -1,5 +1,8 @@
 """Law-style checks: every invariant the estimators and transforms promise."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from disclim.charts import emit_chart, ramp_position
 from disclim.corpus import AnnualSeries, JoinedTable, align_union, integrate_on_year
-from disclim.errors import EmptyIntersectionError, TooFewPairsError, ZeroVarianceError
+from disclim.errors import DataError, EmptyIntersectionError, TooFewPairsError, ZeroVarianceError
 from disclim import stats
 from disclim.ingest import COMMA, TAB, RawTable, parse_delimited
 from disclim.metrics import news_intensity, shares_by_group, sunburst_deaths_affected
@@ -201,8 +204,8 @@ def _hex(values):
     return [[None if v is None else float.hex(v) for v in row] for row in values]
 
 
-def _assert_matrix_by_pairs(table):
-    for method in METHODS:
+def _assert_matrix_by_pairs(table, order=METHODS):
+    for method in order:
         matrix = correlation_matrix(table, method)
         values, counts, reasons = _matrix_by_pairs(table, method)
         assert _hex(matrix.values) == _hex(values), method
@@ -232,9 +235,10 @@ def _wide_table(seed, k=41, n=150):
 
 class TestMatrixExactness:
     @settings(max_examples=150)
-    @given(gappy_tables())
-    def test_matrix_equals_per_pair_completion(self, table):
-        _assert_matrix_by_pairs(table)
+    @given(gappy_tables(), st.permutations(METHODS))
+    def test_matrix_equals_per_pair_completion(self, table, order):
+        # a table's matrices share its work, in whatever order they are built
+        _assert_matrix_by_pairs(table, order)
 
     def test_wide_table_equals_per_pair_completion(self):
         table = _wide_table(seed=20)
@@ -242,6 +246,99 @@ class TestMatrixExactness:
         # Kendall's signs are summed over several blocks of year pairs
         assert n * (n - 1) // 2 > 2 * (stats._SIGN_BLOCK // k)
         _assert_matrix_by_pairs(table)
+
+
+def _fresh(table):
+    """An equal table that shares no work with *table*."""
+    return JoinedTable(years=table.years, labels=table.labels, columns=table.columns)
+
+
+def _assert_same_matrix(got, expected):
+    assert _hex(got.values) == _hex(expected.values), got.method
+    assert got.counts == expected.counts, got.method
+    assert got.reasons == expected.reasons, got.method
+
+
+class TestSharedTableWork:
+    """A table's matrices share the work its first matrix keeps with the table."""
+
+    @pytest.mark.parametrize("order", [
+        METHODS,
+        METHODS[::-1],
+        ("kendall-tau-b", "pearson", "kendall-tau-a", "spearman"),
+    ])
+    def test_any_order_equals_a_fresh_table(self, order):
+        table = _wide_table(seed=25)
+        for method in order:
+            _assert_same_matrix(correlation_matrix(table, method),
+                                correlation_matrix(_fresh(table), method))
+
+    def test_equal_tables_keep_their_own_work(self):
+        table = _wide_table(seed=25, k=6, n=30)
+        twin = _fresh(table)
+        correlation_matrix(table, "kendall-tau-a")
+        assert table._derived and not twin._derived
+        correlation_matrix(twin, "pearson")
+        assert twin._derived is not table._derived
+        assert "kendall" in table._derived and "kendall" not in twin._derived
+
+    def test_non_finite_raises_on_every_call(self):
+        # the nan in "a" meets a defined "b" in a pair of three completed years
+        columns = ((1.0, 2.0, math.nan, 4.0), (2.0, 1.0, 3.0, 5.0), (1.0, 3.0, None, 2.0))
+        table = JoinedTable(years=(1, 2, 3, 4), labels=("a", "b", "c"), columns=columns)
+        for method in METHODS * 3:
+            with pytest.raises(DataError, match="non-finite"):
+                correlation_matrix(table, method)
+        for method in METHODS:
+            table = _fresh(table)
+            for _ in range(3):
+                with pytest.raises(DataError, match="non-finite"):
+                    correlation_matrix(table, method)
+
+    def test_used_tables_compare_hash_and_print_as_fresh_ones(self):
+        table = _wide_table(seed=25, k=6, n=30)
+        twin = _fresh(table)
+        for method in METHODS:
+            correlation_matrix(table, method)
+        assert table == twin and hash(table) == hash(twin)
+        assert repr(table) == repr(twin)
+        assert "_derived" not in repr(table)
+
+    def test_a_table_built_from_lists_does_not_follow_them(self):
+        years, labels = [1, 2, 3, 4, 5], ["a", "b", "c"]
+        columns = [[1.0, 2.0, 3.0, 5.0, 4.0], [2.0, 1.0, None, 5.0, 3.0], [0.0, 0.0, 1.0, 2.0, 2.0]]
+        table = JoinedTable(years=years, labels=labels, columns=columns)
+        before = {method: correlation_matrix(table, method) for method in METHODS}
+        years.reverse()
+        labels[0] = "z"
+        columns[0][0] = 9.0
+        columns[1][2] = 7.0
+        columns.append([1.0] * 5)
+        assert table == JoinedTable(
+            years=(1, 2, 3, 4, 5),
+            labels=("a", "b", "c"),
+            columns=((1.0, 2.0, 3.0, 5.0, 4.0), (2.0, 1.0, None, 5.0, 3.0), (0.0, 0.0, 1.0, 2.0, 2.0)),
+        )
+        for method in METHODS:
+            again = correlation_matrix(table, method)
+            assert again.labels == ("a", "b", "c")
+            _assert_same_matrix(again, before[method])
+
+    def test_work_dies_with_its_table(self):
+        correlation_matrix(_wide_table(seed=25, k=3, n=10))  # numpy's first-call state
+        table = _wide_table(seed=25, k=40, n=150)
+        tracemalloc.start()
+        try:
+            matrices = [correlation_matrix(table, method) for method in METHODS]
+            held, _ = tracemalloc.get_traced_memory()
+            del table, matrices
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the table's work is ~40% of what it and its matrices hold (~0.25 MB),
+        # so work that outlived its table would stay behind
+        assert left < 2**20
+        assert left < held / 4
 
 
 class TestJoins:
