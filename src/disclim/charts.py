@@ -15,12 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .corpus import JoinedTable
-from .errors import (
-    DataError,
-    EmptyMatrixError,
-    KindMismatchError,
-    MissingIsoCodesError,
-)
+from .errors import DataError
 from .isocodes import CODE_RE
 from .metrics import ShareTable, SunburstNode
 from .stats import CorrelationMatrix
@@ -39,7 +34,7 @@ def parse_chart_kind(name: str) -> ChartKind:
     try:
         return ChartKind(name)
     except ValueError:
-        raise KindMismatchError(f"unknown chart kind {name!r}") from None
+        raise DataError(f"unknown chart kind {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,7 @@ class ChartDocument:
 
 def _series_payload(data) -> dict:
     if not isinstance(data, JoinedTable):
-        raise KindMismatchError(f"expected a JoinedTable, got {type(data).__name__}")
+        raise DataError(f"expected a JoinedTable, got {type(data).__name__}")
     if len(set(data.labels)) != len(data.labels):
         raise DataError("series labels are not unique")
     return {
@@ -88,7 +83,7 @@ def _timeseries(data, title) -> ChartDocument:
 def _dualaxis(data, title) -> ChartDocument:
     payload = _series_payload(data)
     if len(data.labels) != 2:
-        raise KindMismatchError(f"dual-axis needs exactly 2 series, got {len(data.labels)}")
+        raise DataError(f"dual-axis needs exactly 2 series, got {len(data.labels)}")
     primary, secondary = data.labels
     return ChartDocument(
         kind=ChartKind.DUAL_AXIS,
@@ -100,7 +95,7 @@ def _dualaxis(data, title) -> ChartDocument:
 
 def _stackedarea(data, title) -> ChartDocument:
     if not isinstance(data, ShareTable):
-        raise KindMismatchError(f"stacked area needs a ShareTable, got {type(data).__name__}")
+        raise DataError(f"stacked area needs a ShareTable, got {type(data).__name__}")
     return ChartDocument(
         kind=ChartKind.STACKED_AREA,
         title=title or "Share of total by year",
@@ -124,7 +119,7 @@ def _sunburst_node(node: SunburstNode) -> dict:
 
 def _sunburst(data, title) -> ChartDocument:
     if not isinstance(data, SunburstNode):
-        raise KindMismatchError(f"sunburst needs a SunburstNode, got {type(data).__name__}")
+        raise DataError(f"sunburst needs a SunburstNode, got {type(data).__name__}")
     return ChartDocument(
         kind=ChartKind.SUNBURST,
         title=title or "Hierarchy",
@@ -135,11 +130,11 @@ def _sunburst(data, title) -> ChartDocument:
 
 def _choropleth(data, title) -> ChartDocument:
     if not isinstance(data, Mapping):
-        raise KindMismatchError(f"choropleth needs a code->value mapping, got {type(data).__name__}")
+        raise DataError(f"choropleth needs a code->value mapping, got {type(data).__name__}")
     keys = sorted(data)
     missing = [key for key in keys if not CODE_RE.match(key)]
     if missing:
-        raise MissingIsoCodesError(missing)
+        raise DataError(f"entities without ISO codes: {', '.join(missing)}")
     return ChartDocument(
         kind=ChartKind.CHOROPLETH,
         title=title or "World map values",
@@ -150,7 +145,7 @@ def _choropleth(data, title) -> ChartDocument:
 
 def _heatmap(data, title) -> ChartDocument:
     if not isinstance(data, CorrelationMatrix):
-        raise KindMismatchError(f"heatmap needs a CorrelationMatrix, got {type(data).__name__}")
+        raise DataError(f"heatmap needs a CorrelationMatrix, got {type(data).__name__}")
     return ChartDocument(
         kind=ChartKind.HEATMAP,
         title=title or f"{data.method} correlation",
@@ -179,7 +174,7 @@ def emit_chart(kind: ChartKind | str, data, title: str | None = None) -> ChartDo
     A time series or dual-axis chart takes a ``JoinedTable``, and a
     dual-axis chart's right-hand series is its second column.  A choropleth
     takes a mapping keyed by ISO alpha-3 code only; any other key raises
-    MissingIsoCodesError.  There are no options.
+    DataError.  There are no options.
     """
     if isinstance(kind, str):
         kind = parse_chart_kind(kind)
@@ -228,7 +223,7 @@ def _luminance(rgb: tuple[int, int, int]) -> float:
 def render_heatmap_svg(matrix: CorrelationMatrix) -> bytes:
     """Standalone SVG: one annotated cell per pair, hatch for undefined."""
     if matrix.size == 0:
-        raise EmptyMatrixError("matrix has no series")
+        raise DataError("matrix has no series")
     k = matrix.size
     cell = _CELL
     left, top = 190, 150

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
-from .errors import (
-    DataError,
-    DigestMismatchError,
-    EmptyIntersectionError,
-    ManifestMissingError,
-    UnknownMeasureError,
-    UnknownSelectorError,
-)
+from .errors import DataError, EmptyIntersectionError
 from .ingest import RawTable, SchemaKind, coerce_records, detect_schema, parse_delimited
 from .records import (
     MEASURES,
@@ -104,7 +97,7 @@ class JoinedTable:
         try:
             return self.columns[self.labels.index(label)]
         except ValueError:
-            raise UnknownSelectorError(f"no series labelled {label!r}") from None
+            raise DataError(f"no series labelled {label!r}") from None
 
 
 def integrate_on_year(seriess: Sequence[AnnualSeries]) -> JoinedTable:
@@ -216,13 +209,13 @@ class Corpus:
             label = selector.strip()
             matched = self._regions_matching(label.casefold())
             if not matched:
-                raise UnknownSelectorError(f"unknown entity or disaster type {label!r}")
+                raise DataError(f"unknown entity or disaster type {label!r}")
             label = matched[-1].entity
         # the matched records share one class, so keyed by it they make one group
         by_year = next(iter(annual_totals(matched, measure, type).values()), {})
         if not by_year:
             known = self._known_measures(selector)
-            raise UnknownMeasureError(
+            raise DataError(
                 f"no defined {measure!r} observations for {label!r}"
                 + (f"; available measures: {', '.join(known)}" if known else "")
             )
@@ -432,7 +425,7 @@ def _read_table(stored: _Stored, path: Path, payload: bytes) -> tuple:
 def _read_manifest(path: Path) -> dict:
     """The manifest at *path*, its shape checked before any table is read."""
     if not path.exists():
-        raise ManifestMissingError(f"{path}: manifest missing")
+        raise DataError(f"{path}: manifest missing")
     try:
         manifest = json.loads(path.read_text("utf-8"))
     except (OSError, ValueError) as exc:
@@ -470,14 +463,14 @@ def load_corpus(directory: str | Path) -> Corpus:
     for kind, entry in manifest.get("tables", {}).items():
         path = directory / entry["file"]
         if not path.exists():
-            raise ManifestMissingError(f"{path} listed in manifest but absent")
+            raise DataError(f"{path} listed in manifest but absent")
         try:
             payload = path.read_bytes()
         except OSError as exc:
             raise DataError(f"{path}: unreadable table: {exc}") from None
         digest = hashlib.sha256(payload).hexdigest()
         if digest != entry["sha256"]:
-            raise DigestMismatchError(f"{path}: expected {entry['sha256']}, got {digest}")
+            raise DataError(f"{path}: expected {entry['sha256']}, got {digest}")
         stored = _STORED[SchemaKind(kind)]
         setattr(corpus, stored.field, _read_table(stored, path, payload))
     return corpus

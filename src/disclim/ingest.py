@@ -14,17 +14,7 @@ import io
 import re
 from dataclasses import dataclass, field
 
-from .errors import (
-    AmbiguousSchemaError,
-    DataError,
-    DuplicateHeaderError,
-    EmptyInputError,
-    ParseError,
-    RaggedRowError,
-    UnknownSchemaError,
-    UnparseableNumberError,
-    YearOutOfRangeError,
-)
+from .errors import DataError
 from .isocodes import CODE_RE, load_default_codes
 from .records import (
     YEAR_MAX,
@@ -119,13 +109,13 @@ def parse_delimited(
     and ignoring case; trailing blank lines are ignored; every data row
     must have exactly as many cells as the header, so a blank line
     followed by a row is a ragged row of no cells.  Text the csv reader
-    cannot split raises ParseError naming the line.
+    cannot split raises DataError naming the line.
     """
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{source_path}: input is not UTF-8: {exc}") from exc
+            raise DataError(f"{source_path}: input is not UTF-8: {exc}") from exc
     else:
         text = data
 
@@ -135,12 +125,12 @@ def parse_delimited(
         # is ragged against; blank lines alone are no content at all
         header = tuple(cell.strip() for cell in next(reader, ()))
         if any(not name for name in header):
-            raise ParseError(f"{source_path}: header contains an empty column name")
+            raise DataError(f"{source_path}: header contains an empty column name")
         # every lookup of a column ignores case, so neither may a duplicate
         seen: set[str] = set()
         for name in header:
             if name.upper() in seen:
-                raise DuplicateHeaderError(name, source_path)
+                raise DataError(f"{source_path}: duplicate column name: {name!r}")
             seen.add(name.upper())
 
         width = len(header)
@@ -150,15 +140,16 @@ def parse_delimited(
             if not cells:
                 blank_line = blank_line or reader.line_num
             elif blank_line and width:
-                raise RaggedRowError(blank_line, width, 0, source_path)
+                raise DataError(f"{source_path}: line {blank_line}: expected {width} cells, got 0")
             elif len(cells) != width:
-                raise RaggedRowError(reader.line_num, width, len(cells), source_path)
+                raise DataError(f"{source_path}: line {reader.line_num}: "
+                                f"expected {width} cells, got {len(cells)}")
             else:
                 rows.append(tuple(cells))
     except csv.Error as exc:
-        raise ParseError(f"{source_path}: line {reader.line_num}: {exc}") from None
+        raise DataError(f"{source_path}: line {reader.line_num}: {exc}") from None
     if not width:
-        raise EmptyInputError(f"{source_path}: no content")
+        raise DataError(f"{source_path}: no content")
     return RawTable(header=header, rows=tuple(rows), source_path=source_path)
 
 
@@ -208,12 +199,12 @@ def detect_schema(table: RawTable) -> SchemaKind:
     if SchemaKind.REGION in matches:
         matches.discard(SchemaKind.DISASTER_TYPE)
     if not matches:
-        raise UnknownSchemaError(
+        raise DataError(
             f"{table.source_path}: columns {sorted(columns)} match no known layout"
         )
     if len(matches) > 1:
         names = ", ".join(sorted(k.value for k in matches))
-        raise AmbiguousSchemaError(f"{table.source_path}: matches {names}")
+        raise DataError(f"{table.source_path}: matches {names}")
     return matches.pop()
 
 
@@ -233,7 +224,9 @@ def _parse_number(cell: str, row: int = 0, column: str = "") -> float | None:
     try:
         return float(stripped)
     except ValueError:
-        raise UnparseableNumberError(cell, row, column) from None
+        raise DataError(
+            f"row {row}, column {column!r}: cannot parse {cell!r} as a number"
+        ) from None
 
 
 @dataclass
@@ -295,7 +288,7 @@ def coerce_records(table: RawTable, kind: SchemaKind) -> CoercionResult:
             record = make(*values)
         except DataError as exc:
             # a record that fails validation does not know its row
-            raise type(exc)(f"row {i}: {exc}") from None
+            raise DataError(f"row {i}: {exc}") from None
         if record is not None:
             result.records.append(record)
 
@@ -346,9 +339,11 @@ def _require_year(cell: str, row: int = 0, column: str = "") -> tuple[int, int |
     try:
         year, month = parse_year_cell(cell)
     except ValueError:
-        raise UnparseableNumberError(cell, row, column) from None
+        raise DataError(
+            f"row {row}, column {column!r}: cannot parse {cell!r} as a number"
+        ) from None
     if not YEAR_MIN <= year <= YEAR_MAX:
-        raise YearOutOfRangeError(year, row)
+        raise DataError(f"row {row}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
     return year, month
 
 

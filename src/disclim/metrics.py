@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .corpus import BY_TYPE, Corpus, annual_totals
-from .errors import DataError, NegativeValueError
+from .errors import DataError
 from .records import DisasterType
 
 SHARE_SUM_TOL = 1e-9
@@ -23,7 +23,7 @@ def share_of_total(values: Mapping[str, float]) -> dict[str, float]:
     """Each label's fraction of the total; zero total yields all zeros."""
     for label, value in values.items():
         if value < 0:
-            raise NegativeValueError(f"negative count for {label!r}: {value!r}")
+            raise DataError(f"negative count for {label!r}: {value!r}")
     total = sum(values.values())
     if total == 0:
         return {label: 0.0 for label in values}
@@ -51,7 +51,7 @@ class ShareTable:
             for label in self.labels:
                 share = row[label]
                 if share < 0:
-                    raise NegativeValueError(f"{year}/{label}: negative share")
+                    raise DataError(f"{year}/{label}: negative share")
                 total += share
             if year in self.zero_total_years:
                 if total != 0.0:
@@ -151,7 +151,7 @@ class SunburstNode:
         if not math.isfinite(self.value):
             raise DataError(f"{self.label}: non-finite value")
         if self.value < 0:
-            raise NegativeValueError(f"{self.label}: negative value")
+            raise DataError(f"{self.label}: negative value")
 
 
 def sunburst_deaths_affected(
@@ -218,9 +218,9 @@ def news_intensity(
         d = float(deaths.get(label, 0.0))
         share = float(coverage_share.get(label, 0.0))
         if d < 0:
-            raise NegativeValueError(f"{label}: negative deaths")
+            raise DataError(f"{label}: negative deaths")
         if share < 0:
-            raise NegativeValueError(f"{label}: negative coverage share")
+            raise DataError(f"{label}: negative coverage share")
         total_share += share
         per_story = d / share if share > 0 else None
         entries.append(NewsIntensity(label=label, deaths_per_story=per_story, coverage_share=share))

@@ -10,7 +10,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import DataError, NegativeValueError, YearOutOfRangeError
+from .errors import DataError
 
 YEAR_MIN = 1850
 YEAR_MAX = 2100
@@ -67,7 +67,7 @@ def parse_disaster_type(name: str) -> DisasterType | None:
 
 def _check_year(year: int) -> None:
     if not YEAR_MIN <= year <= YEAR_MAX:
-        raise YearOutOfRangeError(year)
+        raise DataError(f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
 
 
 def _check_measures(measures: dict[str, float | None]) -> None:
@@ -77,7 +77,7 @@ def _check_measures(measures: dict[str, float | None]) -> None:
         if not math.isfinite(value):
             raise DataError(f"measure {name!r} is not finite: {value!r}")
         if value < 0:
-            raise NegativeValueError(f"measure {name!r} is negative: {value!r}")
+            raise DataError(f"measure {name!r} is negative: {value!r}")
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    EmptyMatrixError,
-    TooFewPairsError,
-    ZeroVarianceError,
-)
+from .errors import DataError, TooFewPairsError, ZeroVarianceError
 from .corpus import JoinedTable
 
 MIN_PAIRS = 3
@@ -358,6 +353,22 @@ def _cells(method: str, work: dict):
     return _kendall_cells(work["kendall"], work["overlap"], method.removeprefix("kendall-"))
 
 
+def _same_sign(a: float, b: float) -> bool:
+    # exactly: -0.0 == 0.0, but the two print differently
+    return math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _cell_fault(i: int, j: int, v, mirror) -> tuple[tuple[int, int], str] | None:
+    """Why cell (i, j), holding *v* opposite *mirror*, is invalid, or None."""
+    if v is None:
+        return None
+    if not -1.0 <= v <= 1.0:
+        return (i, j), f"cell ({i},{j}) out of range: {v!r}"
+    if mirror != v or (v == 0 and not _same_sign(v, mirror)):
+        return (i, j), f"matrix not symmetric at ({i},{j})"
+    return None
+
+
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """A labeled, symmetric coefficient matrix with per-cell bookkeeping.
@@ -379,17 +390,17 @@ class CorrelationMatrix:
             raise DataError("matrix labels are not unique")
         if len(self.values) != k or any(len(row) != k for row in self.values):
             raise DataError("matrix is not square")
-        for i in range(k):
-            for j in range(k):
-                v = self.values[i][j]
-                if v is None:
+        # each pair of mirrored cells is checked once, from the upper
+        # triangle; the first bad cell in row-major order is reported
+        faults = []
+        for i, (row, mirrors) in enumerate(zip(self.values, zip(*self.values))):
+            for j in range(i, k):
+                v, m = row[j], mirrors[j]
+                if v == m and (v is None or -1.0 <= v <= 1.0 and (v or _same_sign(v, m))):
                     continue
-                if not -1.0 <= v <= 1.0:
-                    raise DataError(f"cell ({i},{j}) out of range: {v!r}")
-                mirror = self.values[j][i]
-                # exactly: -0.0 == 0.0, but the two print differently
-                if mirror != v or (v == 0 and math.copysign(1.0, mirror) != math.copysign(1.0, v)):
-                    raise DataError(f"matrix not symmetric at ({i},{j})")
+                faults += filter(None, (_cell_fault(i, j, v, m), _cell_fault(j, i, m, v)))
+        if faults:
+            raise DataError(min(faults)[1])
 
     @property
     def size(self) -> int:
@@ -442,7 +453,7 @@ def correlation_matrix(table: JoinedTable, method: str = "pearson") -> Correlati
     method = normalize_method(method)
     k = len(table.labels)
     if k < 2:
-        raise EmptyMatrixError(f"need at least 2 series, got {k}")
+        raise DataError(f"need at least 2 series, got {k}")
     work = _table_work(table)
     if work["non_finite"]:
         raise DataError("non-finite values in input")

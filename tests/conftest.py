@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -55,6 +56,11 @@ def assert_kendall_matches_loop(x, y) -> None:
             disclim.kendall(x, y, "tau-b")
     else:
         assert disclim.kendall(x, y, "tau-b") == surplus / math.sqrt(untied)
+
+
+def raises_data_error(message: str):
+    """``pytest.raises`` for a ``DataError`` whose message is exactly *message*."""
+    return pytest.raises(disclim.DataError, match=rf"\A{re.escape(message)}\Z")
 
 
 def fixture_bytes(name: str) -> bytes:

@@ -27,7 +27,7 @@ from disclim.corpus import (
     check_aggregate_consistency,
     series_from_mapping,
 )
-from disclim.errors import DataError, UnknownMeasureError, UnknownSelectorError
+from disclim.errors import DataError
 from disclim.metrics import (
     deaths_and_affected,
     overall_share,
@@ -56,7 +56,7 @@ def old_build_series(self, selector, measure: str):
         label = selector.strip()
         matched = self._regions_matching(label.casefold())
         if not matched:
-            raise UnknownSelectorError(f"unknown entity or disaster type {label!r}")
+            raise DataError(f"unknown entity or disaster type {label!r}")
         for rec in matched:
             value = rec.measures.get(measure)
             if value is not None:
@@ -64,7 +64,7 @@ def old_build_series(self, selector, measure: str):
         label = matched[-1].entity
     if not by_year:
         known = self._known_measures(selector)
-        raise UnknownMeasureError(
+        raise DataError(
             f"no defined {measure!r} observations for {label!r}"
             + (f"; available measures: {', '.join(known)}" if known else "")
         )
@@ -74,7 +74,7 @@ def old_build_series(self, selector, measure: str):
 def old_check_aggregate_consistency(corpus: Corpus, measure: str, tol: float = 1e-9) -> list[str]:
     try:
         total = old_build_series(corpus, DisasterType.ALL_NATURAL_DISASTERS, measure)
-    except (UnknownSelectorError, UnknownMeasureError):
+    except DataError:
         return []
     parts = {}
     for t in DisasterType:
@@ -82,7 +82,7 @@ def old_check_aggregate_consistency(corpus: Corpus, measure: str, tol: float = 1
             continue
         try:
             parts[t] = old_build_series(corpus, t, measure)
-        except (UnknownSelectorError, UnknownMeasureError):
+        except DataError:
             continue
     problems = []
     for year, value in zip(total.years, total.values):
@@ -207,7 +207,7 @@ def _merged(records, measure: str) -> Corpus:
 def _outcome(fn, *args):
     try:
         return "ok", fn(*args)
-    except (DataError, UnknownSelectorError, UnknownMeasureError) as exc:
+    except DataError as exc:
         return "raised", type(exc), str(exc)
 
 

@@ -199,6 +199,92 @@ def test_stored_table_fault_is_data_error(bundled_dir, tmp_path, capsys, file, e
         assert f"{where}:" in err[0]
 
 
+# -- every data fault a user can cause: exit 2 and one line that names it ----
+
+
+def _ingested(text, message):
+    """A case: ingest *text* as the region source; *message* may name {source}."""
+    def case(tmp_path, bundled_dir):
+        source = tmp_path / "region.csv"
+        source.write_text(text)
+        argv = ["ingest", "--region", str(source), "--corpus", str(tmp_path / "corpus")]
+        return argv, message.format(source=source)
+    return case
+
+
+def _charted(series, message):
+    """A case: a timeseries chart of the saved bundled corpus."""
+    def case(tmp_path, bundled_dir):
+        return ["chart", "--kind", "timeseries", "--series", series, "--corpus",
+                str(bundled_dir), "--out", str(tmp_path / "out")], message
+    return case
+
+
+def _corr(directory, tmp_path):
+    return ["corr", "--corpus", str(directory), "--out", str(tmp_path / "out")]
+
+
+def _missing_manifest(tmp_path, bundled_dir):
+    directory = tmp_path / "nowhere"
+    return _corr(directory, tmp_path), f"{directory / 'manifest.json'}: manifest missing"
+
+
+def _missing_table(tmp_path, bundled_dir):
+    directory = shutil.copytree(bundled_dir, tmp_path / "corpus")
+    (directory / "anomaly.table").unlink()
+    message = f"{directory / 'anomaly.table'} listed in manifest but absent"
+    return _corr(directory, tmp_path), message
+
+
+def _tampered_table(tmp_path, bundled_dir):
+    directory = shutil.copytree(bundled_dir, tmp_path / "corpus")
+    table = directory / "type.table"
+    saved = table.read_bytes()
+    table.write_bytes(saved + b"Flood,2017,1,1,1,1\n")
+    return _corr(directory, tmp_path), (f"{table}: expected {hashlib.sha256(saved).hexdigest()}, "
+                                        f"got {hashlib.sha256(table.read_bytes()).hexdigest()}")
+
+
+def _map_without_code(tmp_path, bundled_dir):
+    source = tmp_path / "region.csv"
+    source.write_text("ENTITY,CODE,YEAR,DEATHS\nIndia,IND,2001,5\nLemuria,,2001,1\n")
+    assert main(["ingest", "--region", str(source), "--corpus", str(tmp_path / "corpus")]) == 0
+    return ["chart", "--kind", "choropleth", "--corpus", str(tmp_path / "corpus"),
+            "--out", str(tmp_path / "out")], "entities without ISO codes: Lemuria"
+
+
+@pytest.mark.parametrize("case", [
+    _ingested("ENTITY,CODE,YEAR,DEATHS\nIndia,IND,2001,5,6\n",
+              "{source}: line 2: expected 4 cells, got 5"),
+    _ingested("ENTITY,CODE,YEAR,DEATHS,deaths\nIndia,IND,2001,5,6\n",
+              "{source}: duplicate column name: 'deaths'"),
+    _ingested("", "{source}: no content"),
+    _ingested("FOO,BAR\n1,2\n", "{source}: columns ['BAR', 'FOO'] match no known layout"),
+    _ingested("ENTITY,YEAR,TEMPERATURE_ANOMALY\nx,2001,0.3\n",
+              "{source}: matches anomaly, disaster-type"),
+    _ingested("ENTITY,CODE,YEAR,DEATHS\nIndia,IND,2001,5\nIndia,IND,2002,x\n",
+              "row 2, column 'DEATHS': cannot parse 'x' as a number"),
+    _ingested("ENTITY,CODE,YEAR,DEATHS\nIndia,IND,1700,5\n",
+              "row 1: year 1700 outside [1850, 2100]"),
+    _ingested("ENTITY,CODE,YEAR,DEATHS\nIndia,IND,2001,-5\n",
+              "row 1: measure 'deaths' is negative: -5.0"),
+    _charted("Atlantis/deaths", "unknown entity or disaster type 'Atlantis'"),
+    _charted("India/bogus", "no defined 'bogus' observations for 'India'; available measures: "
+             "deaths, death_rate, percentage_share_deaths, internally_displaced"),
+    _missing_manifest,
+    _missing_table,
+    _tampered_table,
+    _map_without_code,
+], ids=["ragged-row", "duplicate-header", "empty-input", "unknown-schema", "ambiguous-schema",
+        "unparseable-number", "year-out-of-range", "negative-measure", "unknown-selector",
+        "unknown-measure", "missing-manifest", "missing-listed-table", "digest-mismatch",
+        "map-entity-without-code"])
+def test_each_data_fault_is_exit_2_and_one_line(tmp_path, bundled_dir, capsys, case):
+    argv, message = case(tmp_path, bundled_dir)
+    capsys.readouterr()
+    assert (main(argv), capsys.readouterr().err) == (2, f"disclim: {message}\n")
+
+
 class TestIngest:
     def test_fixtures_to_corpus(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+from conftest import raises_data_error
 from disclim.corpus import (
     ANOMALY_LABEL,
     AnnualSeries,
@@ -16,17 +18,10 @@ from disclim.corpus import (
     save_corpus,
     series_from_mapping,
 )
-from disclim.errors import (
-    DataError,
-    DigestMismatchError,
-    EmptyIntersectionError,
-    ManifestMissingError,
-    UnknownMeasureError,
-    UnknownSelectorError,
-)
+from disclim.errors import DataError, EmptyIntersectionError
 from disclim.ingest import parse_delimited
 from disclim.isocodes import load_default_codes, parse_code_table
-from disclim.records import AnomalyRecord, DisasterRecord, DisasterType
+from disclim.records import MEASURES, AnomalyRecord, DisasterRecord, DisasterType
 
 
 class TestAnnualSeries:
@@ -90,7 +85,7 @@ class TestJoins:
 
     def test_unknown_column(self):
         joined = align_union([self.a])
-        with pytest.raises(UnknownSelectorError):
+        with raises_data_error("no series labelled 'nope'"):
             joined.column("nope")
 
 
@@ -192,15 +187,18 @@ class TestBuildSeries:
         assert by_enum.get(2010) == 188113195.0
 
     def test_unknown_selector(self, micro_corpus):
-        with pytest.raises(UnknownSelectorError):
+        with raises_data_error("unknown entity or disaster type 'Atlantis'"):
             micro_corpus.build_series("Atlantis", "deaths")
 
     def test_unknown_measure_lists_alternatives(self, micro_corpus):
-        with pytest.raises(UnknownMeasureError, match="deaths, death_rate"):
+        with raises_data_error("no defined 'affected' observations for 'India'; available "
+                               "measures: deaths, death_rate, percentage_share_deaths, "
+                               "internally_displaced"):
             micro_corpus.build_series("India", "affected")
 
     def test_type_with_no_rows(self, micro_corpus):
-        with pytest.raises(UnknownMeasureError):
+        with raises_data_error("no defined 'deaths' observations for 'Drought'; available "
+                               "measures: deaths, affected, homeless, injured"):
             micro_corpus.build_series(DisasterType.DROUGHT, "deaths")
 
     def test_default_series_order(self, bundled):
@@ -235,17 +233,21 @@ def _scanned_series(corpus, selector, measure):
             if rec.measures.get(measure) is not None:
                 by_year[rec.year] = by_year.get(rec.year, 0.0) + rec.measures[measure]
     if not matched:
-        raise UnknownSelectorError(selector)
+        raise DataError(f"unknown entity or disaster type {label!r}")
     if not by_year:
-        raise UnknownMeasureError(selector)
+        known = {m for rec in corpus.region_records for m, v in rec.measures.items()
+                 if v is not None}
+        listed = [m for m in MEASURES if m in known] + sorted(known - set(MEASURES))
+        raise DataError(f"no defined {measure!r} observations for {label!r}"
+                        + (f"; available measures: {', '.join(listed)}" if listed else ""))
     return series_from_mapping(label, by_year)
 
 
 def _outcome(build, selector):
     try:
         return build(selector, "deaths")
-    except (UnknownSelectorError, UnknownMeasureError) as exc:
-        return type(exc)
+    except DataError as exc:
+        return type(exc), str(exc)
 
 
 def _region(entity, iso, year, deaths):
@@ -278,7 +280,7 @@ class TestRegionIndex:
             assert _outcome(corpus.build_series, selector) == expected, selector
         assert corpus.build_series("fra", "deaths").values == (0.1 + 0.2 + 0.3, 7.0)
         # a blank selector names no region, not every region without a code
-        with pytest.raises(UnknownSelectorError):
+        with raises_data_error("unknown entity or disaster type ''"):
             corpus.build_series("", "deaths")
 
     def test_fixture_names_and_codes_match_a_linear_scan(self, micro_corpus):
@@ -293,7 +295,7 @@ class TestRegionIndex:
         assert corpus.build_series("Atlantis", "deaths").values == (5.0,)
         corpus.region_records = (_region("Atlantis", None, 1999, 4.0),)
         assert corpus.build_series("Atlantis", "deaths").years == (1999,)
-        with pytest.raises(UnknownSelectorError):
+        with raises_data_error("unknown entity or disaster type 'France'"):
             corpus.build_series("France", "deaths")
 
     def test_index_is_not_part_of_equality_or_repr(self):
@@ -339,18 +341,20 @@ class TestPersistence:
     def test_tampering_detected(self, micro_corpus, tmp_path):
         directory = save_corpus(micro_corpus, tmp_path)
         target = directory / "type.table"
-        target.write_bytes(target.read_bytes() + b"Flood,2017,1,1,1,1\n")
-        with pytest.raises(DigestMismatchError):
+        saved = target.read_bytes()
+        target.write_bytes(saved + b"Flood,2017,1,1,1,1\n")
+        with raises_data_error(f"{target}: expected {hashlib.sha256(saved).hexdigest()}, "
+                               f"got {hashlib.sha256(target.read_bytes()).hexdigest()}"):
             load_corpus(directory)
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(ManifestMissingError):
+        with raises_data_error(f"{tmp_path / 'manifest.json'}: manifest missing"):
             load_corpus(tmp_path)
 
     def test_missing_listed_table(self, micro_corpus, tmp_path):
         directory = save_corpus(micro_corpus, tmp_path)
         (directory / "anomaly.table").unlink()
-        with pytest.raises(ManifestMissingError):
+        with raises_data_error(f"{directory / 'anomaly.table'} listed in manifest but absent"):
             load_corpus(directory)
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../anomaly.table", "sub/anomaly.table"])

@@ -23,3 +23,16 @@ def test_every_public_import_is_listed():
         for alias in node.names
     }
     assert {name for name in imported if not name.startswith("_")} <= set(disclim.__all__)
+
+
+def test_errors_define_only_the_outcomes_callers_tell_apart():
+    from disclim import errors
+
+    defined = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+        and value.__module__ == errors.__name__
+    }
+    assert defined == {"DisclimError", "DataError", "AnalysisError",
+                       "EmptyIntersectionError", "TooFewPairsError", "ZeroVarianceError"}
+    assert defined <= set(disclim.__all__)

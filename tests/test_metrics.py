@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from conftest import raises_data_error
 from disclim.corpus import build_corpus
-from disclim.errors import DataError, NegativeValueError
+from disclim.errors import DataError
 from disclim.metrics import (
     NewsIntensity,
     ShareTable,
@@ -32,7 +33,7 @@ class TestShareOfTotal:
         assert share_of_total({}) == {}
 
     def test_negative_rejected(self):
-        with pytest.raises(NegativeValueError):
+        with raises_data_error("negative count for 'a': -1.0"):
             share_of_total({"a": -1.0, "b": 2.0})
 
 
@@ -80,7 +81,7 @@ class TestShareTableValidation:
             )
 
     def test_negative_share(self):
-        with pytest.raises(NegativeValueError):
+        with raises_data_error("2001/a: negative share"):
             ShareTable(
                 labels=("a", "b"),
                 years=(2001,),
@@ -172,7 +173,7 @@ class TestSunburst:
         assert [c.label for c in root.children] == ["Flood"]
 
     def test_node_validation(self):
-        with pytest.raises(NegativeValueError):
+        with raises_data_error("x: negative value"):
             SunburstNode("x", -1.0)
         with pytest.raises(DataError):
             SunburstNode("x", math.nan)
@@ -221,7 +222,7 @@ class TestNewsIntensity:
             news_intensity({"a": 1.0, "b": 1.0}, {"a": 60.0, "b": 50.0})
 
     def test_negative_inputs(self):
-        with pytest.raises(NegativeValueError):
+        with raises_data_error("a: negative deaths"):
             news_intensity({"a": -1.0}, {"a": 1.0})
-        with pytest.raises(NegativeValueError):
+        with raises_data_error("a: negative coverage share"):
             news_intensity({"a": 1.0}, {"a": -1.0})

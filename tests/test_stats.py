@@ -7,12 +7,8 @@ import scipy.stats
 
 from disclim import stats
 from disclim.corpus import AnnualSeries, JoinedTable, align_union
-from disclim.errors import (
-    DataError,
-    EmptyMatrixError,
-    TooFewPairsError,
-    ZeroVarianceError,
-)
+from conftest import raises_data_error
+from disclim.errors import DataError, TooFewPairsError, ZeroVarianceError
 from disclim.stats import (
     METHODS,
     CorrelationMatrix,
@@ -467,7 +463,7 @@ class TestCorrelationMatrix:
 
     def test_too_few_series(self):
         table = align_union([AnnualSeries("a", (2001, 2002), (1.0, 2.0))])
-        with pytest.raises(EmptyMatrixError):
+        with raises_data_error("need at least 2 series, got 1"):
             correlation_matrix(table)
 
     def test_label_permutation_leaves_cells_alone(self):
@@ -521,13 +517,26 @@ class TestCorrelationMatrix:
                               ((1, 1), (1, 1)), "pearson")
         with pytest.raises(DataError, match="square"):
             CorrelationMatrix(("a", "b"), ((1.0,), (0.0,)), ((1,), (1,)), "pearson")
-        with pytest.raises(DataError, match="range"):
+        with raises_data_error("cell (0,1) out of range: 1.5"):
             CorrelationMatrix(("a", "b"), ((1.0, 1.5), (1.5, 1.0)),
                               ((1, 1), (1, 1)), "pearson")
-        with pytest.raises(DataError, match="symmetric"):
+        with raises_data_error("matrix not symmetric at (0,1)"):
             CorrelationMatrix(("a", "b"), ((1.0, 0.5), (0.4, 1.0)),
                               ((1, 1), (1, 1)), "pearson")
         # the heatmap styles (i, j) and (j, i) once, and -0.0 prints as "-0.00"
-        with pytest.raises(DataError, match="symmetric"):
+        with raises_data_error("matrix not symmetric at (0,1)"):
             CorrelationMatrix(("a", "b"), ((1.0, -0.0), (0.0, 1.0)),
                               ((1, 1), (1, 1)), "pearson")
+        # an undefined cell opposite a value is reported at the value
+        with raises_data_error("matrix not symmetric at (1,0)"):
+            CorrelationMatrix(("a", "b"), ((1.0, None), (0.5, 1.0)),
+                              ((1, 1), (1, 1)), "pearson")
+        with raises_data_error("cell (1,1) out of range: nan"):
+            CorrelationMatrix(("a", "b"), ((1.0, None), (None, math.nan)),
+                              ((1, 1), (1, 1)), "pearson")
+        # the first bad cell in row-major order is named, although the pair
+        # (0, 2) is checked before the pair (1, 2)
+        with raises_data_error("cell (1,2) out of range: 2.0"):
+            CorrelationMatrix(("a", "b", "c"),
+                              ((1.0, 0.5, None), (0.5, 1.0, 2.0), (0.5, 2.0, 1.0)),
+                              ((1,) * 3,) * 3, "pearson")
