@@ -24,13 +24,13 @@ table = disclim.parse_delimited(raw, source_path="extract.csv")
 kind = disclim.detect_schema(table)
 print("detected schema:", kind.value)
 
-# coercion stops at the first bad row; the error's message names its row
-# (counted from 1 after the header) and column
+# coercion stops at the first bad row; the error's message names the file,
+# then its row (counted from 1 after the header) and column
 try:
     disclim.coerce_records(table, kind)
 except disclim.DataError as exc:
     print(exc)
-    bad_row = int(re.match(r"row (\d+)", str(exc))[1])
+    bad_row = int(re.search(r"row (\d+)", str(exc))[1])
 
 # drop that row and coerce the rest
 rows = table.rows[:bad_row - 1] + table.rows[bad_row:]

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import DataError, EmptyIntersectionError
 from .ingest import RawTable, SchemaKind, coerce_records, detect_schema, parse_delimited
+from .isocodes import CODE_RE
 from .records import (
     MEASURES,
     AnomalyRecord,
@@ -301,6 +302,7 @@ _MANIFEST_NAME = "manifest.json"
 _FLAGS = {"true": True, "false": False}
 _NUMBER_KEYS = frozenset({"year", "month", "anomaly"})  # measure columns are numbers too
 _NOT_WRITTEN = re.compile(r"[_\s]")
+_SCANNED_KEYS = _NUMBER_KEYS | {"entity", "iso"}  # the key columns read off a whole column
 
 
 def _in_presentation_order(measures) -> list[str]:
@@ -410,15 +412,26 @@ def _read_table(stored: _Stored, path: Path, payload: bytes) -> tuple:
             records.append(stored.record(row, measure_map))
     except (ValueError, DataError) as exc:
         raise DataError(f"{path}: row {n}: {exc}") from None
-    # int() and float() also take underscores and surrounding whitespace,
-    # which the writer never writes; one scan per numeric column finds them
+    # int() and float() also take underscores and surrounding whitespace, and
+    # a record takes any code and an empty entity; the writer writes none of
+    # these, and one scan per column finds them
     for i, name in enumerate(table.header):
-        if i < width and name not in _NUMBER_KEYS:
+        if i < width and name not in _SCANNED_KEYS:
             continue
         column = [row[i] for row in table.rows]
-        if _NOT_WRITTEN.search(",".join(column)):
-            n, cell = next((n, c) for n, c in enumerate(column, start=1) if _NOT_WRITTEN.search(c))
-            raise DataError(f"{path}: row {n}: malformed number {cell!r} in column {name!r}")
+        if name == "entity":
+            unwritten = {""} if "" in column else ()
+        elif name == "iso":
+            unwritten = {c for c in set(column) if c and not CODE_RE.match(c)}
+        elif _NOT_WRITTEN.search(",".join(column)):
+            unwritten = {c for c in column if _NOT_WRITTEN.search(c)}
+        else:
+            continue
+        if unwritten:
+            n, cell = next((n, c) for n, c in enumerate(column, start=1) if c in unwritten)
+            fault = "empty entity name" if name == "entity" else (
+                f"malformed {'code' if name == 'iso' else 'number'} {cell!r} in column {name!r}")
+            raise DataError(f"{path}: row {n}: {fault}")
     return tuple(records)
 
 

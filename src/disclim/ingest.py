@@ -161,14 +161,6 @@ class SchemaKind(enum.Enum):
     ANOMALY = "anomaly"
 
 
-# the key columns (upper-cased) of the two disaster layouts; every other
-# column of those tables is a measure
-_KEY_COLUMNS = {
-    SchemaKind.REGION: frozenset({"ENTITY", "CODE", "YEAR"}),
-    SchemaKind.DISASTER_TYPE: frozenset({"ENTITY", "YEAR"}),
-}
-
-
 def _upper_columns(table: RawTable) -> dict[str, str]:
     return {col.strip().upper(): col for col in table.header}
 
@@ -182,7 +174,7 @@ def _match_schema(kind: SchemaKind, columns: dict[str, str]) -> bool:
     names = set(columns)
     if kind is SchemaKind.ANOMALY:
         return any(c in names for c in _YEAR_COLUMNS) and bool(_anomaly_columns(columns))
-    required = _KEY_COLUMNS[kind]
+    required = {column for column, _ in _KEYS[kind]}
     return required <= names and bool(names - required)
 
 
@@ -217,16 +209,60 @@ def parse_year_cell(cell: str) -> tuple[int, int | None]:
     return int(year), int(month) if month else None
 
 
-def _parse_number(cell: str, row: int = 0, column: str = "") -> float | None:
+# converters: one cell -> its value, or DataError(reason); coerce_records
+# words the reason with the file, row and column
+
+
+def _parse_number(cell: str) -> float | None:
     stripped = cell.strip()
     if stripped.lower() in NULL_TOKENS:
         return None
     try:
         return float(stripped)
     except ValueError:
-        raise DataError(
-            f"row {row}, column {column!r}: cannot parse {cell!r} as a number"
-        ) from None
+        raise DataError(f"cannot parse {cell!r} as a number") from None
+
+
+def _entity_name(cell: str) -> str:
+    name = cell.strip()
+    if not name:
+        raise DataError("empty entity name")
+    return name
+
+
+def _disaster_type_cell(cell: str) -> DisasterType:
+    disaster_type = parse_disaster_type(cell)
+    if disaster_type is None:
+        raise DataError(f"unknown disaster type {cell.strip()!r}")
+    return disaster_type
+
+
+def _require_year(cell: str) -> tuple[int, int | None]:
+    try:
+        year, month = parse_year_cell(cell)
+    except ValueError:
+        raise DataError(f"cannot parse {cell!r} as a number") from None
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        raise DataError(f"year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+    return year, month
+
+
+def _year_only(cell: str) -> int:
+    return _require_year(cell)[0]
+
+
+def _code_cell(cell: str) -> str | None:
+    code = cell.strip().upper()
+    return code if CODE_RE.match(code) else None
+
+
+# the key columns (upper-cased) of the two disaster layouts with their
+# converters, in the order a row's faults are reported; every other column
+# of those tables is a measure
+_KEYS = {
+    SchemaKind.REGION: (("ENTITY", _entity_name), ("YEAR", _year_only), ("CODE", _code_cell)),
+    SchemaKind.DISASTER_TYPE: (("ENTITY", _disaster_type_cell), ("YEAR", _year_only)),
+}
 
 
 @dataclass
@@ -251,44 +287,54 @@ def coerce_records(table: RawTable, kind: SchemaKind) -> CoercionResult:
     Conversion runs a column at a time and converts each distinct cell of a
     column once; records are then built row by row.  The first bad row
     raises: its fault is its first cell that does not convert, key columns
-    before measures, and its error names the row and column.  A record that
-    fails validation names its row too.
+    before measures, and its error names the file, row and column.  A
+    record that fails validation names the file and row.
     """
     columns = _upper_columns(table)
-    null_counts = {col: 0 for col in table.header}
     result = CoercionResult(kind=kind)
 
-    # a plan: (column, index, converter) of each key column in the order a
-    # row's faults are reported, the null-counted (column, index) pairs, and
-    # make (converted values -> record or None)
+    # the plan: (column, converter) of each key column in fault order, the
+    # null-counted columns, and make (converted values -> record or None)
     if kind is SchemaKind.ANOMALY:
-        keys, counted, make = _anomaly_plan(table, columns)
+        keys = [(columns[next(c for c in _YEAR_COLUMNS if c in columns)], _require_year)]
+        counted = [columns[_anomaly_columns(columns)[0]]]
+
+        def make(year_month, value):
+            if value is None:
+                return None  # counted, never a record
+            year, month = year_month
+            return AnomalyRecord(year, value, month)
     else:
-        layout = _measure_layout(table, columns, skip=_KEY_COLUMNS[kind])
-        result.measure_columns = {column: measure for column, _, measure in layout}
-        plan_keys = _region_plan if kind is SchemaKind.REGION else _type_plan
-        keys, make = plan_keys(table, columns, layout)
-        counted = [(column, idx) for column, idx, _ in layout]
-    plan = keys + [(column, idx, _parse_number) for column, idx in counted]
+        keys = [(columns[upper], convert) for upper, convert in _KEYS[kind]]
+        key_columns = {column for column, _ in keys}
+        counted = [column for column in columns.values() if column not in key_columns]
+        result.measure_columns = {column: canonical_measure(column) for column in counted}
+        measures = list(result.measure_columns.values())
+        if kind is SchemaKind.REGION:
+            make = _region_record_maker(measures)
+        else:
+            def make(disaster_type, year, *values):
+                return TypeRecord(disaster_type, year, dict(zip(measures, values)))
+    plan = keys + [(column, _parse_number) for column in counted]
 
     cells_by_column = list(zip(*table.rows)) or [()] * len(table.header)
-    faults: dict[int, int] = {}  # bad row -> position of its first failing column
+    faults: dict[int, tuple[str, DataError]] = {}  # bad row -> its first (column, fault)
     converted = [
-        _convert_column(cells_by_column[idx], convert, position, faults)
-        for position, (_, idx, convert) in enumerate(plan)
+        _convert_column(cells_by_column[table.column_index(column)], convert, column, faults)
+        for column, convert in plan
     ]
-    for position in range(len(keys), len(plan)):
-        null_counts[plan[position][0]] += converted[position].count(None)
+    null_counts = dict.fromkeys(table.header, 0)
+    for column, values in zip(counted, converted[len(keys):]):
+        null_counts[column] = values.count(None)
 
     for i, values in enumerate(zip(*converted), start=1):
         if i in faults:
-            column, idx, convert = plan[faults[i]]
-            convert(table.rows[i - 1][idx], i, column)  # raises, naming row and column
+            column, reason = faults[i]
+            raise DataError(f"{table.source_path}: row {i}, column {column!r}: {reason}")
         try:
             record = make(*values)
-        except DataError as exc:
-            # a record that fails validation does not know its row
-            raise DataError(f"row {i}: {exc}") from None
+        except DataError as reason:
+            raise DataError(f"{table.source_path}: row {i}: {reason}") from None
         if record is not None:
             result.records.append(record)
 
@@ -296,100 +342,30 @@ def coerce_records(table: RawTable, kind: SchemaKind) -> CoercionResult:
     return result
 
 
-_FAILED = object()  # a cell that did not convert
+def _convert_column(cells, convert, column: str, faults: dict) -> list:
+    """Convert each distinct cell once; a cell that does not convert is its DataError.
 
-
-def _convert_column(cells, convert, position: int, faults: dict[int, int]) -> list:
-    """Convert each distinct cell once, without a row or column to name.
-
-    A failed row whose first fault this is gets *position* in *faults*.
+    A row with such a cell files (*column*, its DataError) in *faults*,
+    unless an earlier column of the plan already has.
     """
     memo = {}
+    failed = False
     for cell in dict.fromkeys(cells):
         try:
             memo[cell] = convert(cell)
-        except DataError:
-            memo[cell] = _FAILED
+        except DataError as exc:
+            memo[cell] = exc
+            failed = True
     values = list(map(memo.__getitem__, cells))
-    if any(value is _FAILED for value in memo.values()):
+    if failed:
         for i, value in enumerate(values, start=1):
-            if value is _FAILED:
-                faults.setdefault(i, position)
+            if isinstance(value, DataError):
+                faults.setdefault(i, (column, value))
     return values
 
 
-# key converters: (cell, row, column) -> value, or the row's worded DataError
-
-
-def _entity_name(cell: str, row: int = 0, column: str = "") -> str:
-    name = cell.strip()
-    if not name:
-        raise DataError(f"row {row}: empty entity name")
-    return name
-
-
-def _disaster_type_cell(cell: str, row: int = 0, column: str = "") -> DisasterType:
-    disaster_type = parse_disaster_type(cell)
-    if disaster_type is None:
-        raise DataError(f"row {row}: unknown disaster type {cell.strip()!r}")
-    return disaster_type
-
-
-def _require_year(cell: str, row: int = 0, column: str = "") -> tuple[int, int | None]:
-    try:
-        year, month = parse_year_cell(cell)
-    except ValueError:
-        raise DataError(
-            f"row {row}, column {column!r}: cannot parse {cell!r} as a number"
-        ) from None
-    if not YEAR_MIN <= year <= YEAR_MAX:
-        raise DataError(f"row {row}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
-    return year, month
-
-
-def _year_only(cell: str, row: int = 0, column: str = "") -> int:
-    return _require_year(cell, row, column)[0]
-
-
-def _code_cell(cell: str, row: int = 0, column: str = "") -> str | None:
-    code = cell.strip().upper()
-    return code if CODE_RE.match(code) else None
-
-
-def _key(table: RawTable, columns: dict[str, str], upper: str, convert):
-    column = columns[upper]
-    return column, table.column_index(column), convert
-
-
-def _anomaly_plan(table: RawTable, columns: dict[str, str]):
-    """The coercion plan of an anomaly table: a null anomaly makes no record."""
-    year = next(c for c in _YEAR_COLUMNS if c in columns)
-    anomaly_col = columns[_anomaly_columns(columns)[0]]
-
-    def make(year_month, value):
-        if value is None:
-            return None  # counted, never a record
-        year, month = year_month
-        return AnomalyRecord(year, value, month)
-
-    keys = [_key(table, columns, year, _require_year)]
-    return keys, [(anomaly_col, table.column_index(anomaly_col))], make
-
-
-def _measure_layout(table: RawTable, columns: dict[str, str], skip: frozenset[str]):
-    """(column name, index, canonical measure) for each non-key column."""
-    layout = []
-    for upper, original in columns.items():
-        if upper in skip:
-            continue
-        layout.append((original, table.column_index(original), canonical_measure(original)))
-    layout.sort(key=lambda item: item[1])
-    return layout
-
-
-def _region_plan(table: RawTable, columns: dict[str, str], layout):
-    """The coercion plan of a region table, less its measure columns."""
-    measures = [measure for _, _, measure in layout]
+def _region_record_maker(measures: list[str]):
+    """make (entity, year, code, *measure values) -> ISO-normalised DisasterRecord."""
     codes = load_default_codes()
     # stripped name -> (entity, code when the row has none, aggregate)
     resolved: dict[str, tuple[str, str | None, bool]] = {}
@@ -407,23 +383,4 @@ def _region_plan(table: RawTable, columns: dict[str, str], layout):
             entity, code or default_code, year, dict(zip(measures, values)), aggregate
         )
 
-    keys = [
-        _key(table, columns, "ENTITY", _entity_name),
-        _key(table, columns, "YEAR", _year_only),
-        _key(table, columns, "CODE", _code_cell),
-    ]
-    return keys, make
-
-
-def _type_plan(table: RawTable, columns: dict[str, str], layout):
-    """The coercion plan of a disaster-type table, less its measure columns."""
-    measures = [measure for _, _, measure in layout]
-
-    def make(disaster_type, year, *values):
-        return TypeRecord(disaster_type, year, dict(zip(measures, values)))
-
-    keys = [
-        _key(table, columns, "ENTITY", _disaster_type_cell),
-        _key(table, columns, "YEAR", _year_only),
-    ]
-    return keys, make
+    return make

@@ -199,22 +199,20 @@ def _pair_blocks(n: int, size: int):
         start = stop
 
 
-def _kendall_sums(
-    data: np.ndarray, present: np.ndarray, count_untied: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _kendall_sums(data: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kendall's concordant/discordant surplus and untied pair counts, per column pair.
 
     For years a < b, column i's sign is sign(x_b - x_a) if it has both years
     and 0 otherwise.  Summed over every year pair, signs times signs give
     each column pair's concordant/discordant surplus, and sign magnitudes
     times the partner's presence give ``untied[i, j]``, the year pairs both
-    columns have that are untied in column i (None unless *count_untied*:
-    only tau-b reads it).  Signs are -1, 0 or 1, so the float products sum
-    to exact integers, one block of year pairs at a time.
+    columns have that are untied in column i, which only tau-b reads.  Signs
+    are -1, 0 or 1, so the float products sum to exact integers, one block of
+    year pairs at a time.
     """
     k, n = data.shape
     surplus = np.zeros((k, k))
-    untied = np.zeros((k, k)) if count_untied else None
+    untied = np.zeros((k, k))
     for b, a in _pair_blocks(n, max(1, _SIGN_BLOCK // k)):
         # an overflowing difference keeps its sign as +/-inf, and the nan of
         # a missing year compares false both ways
@@ -222,12 +220,11 @@ def _kendall_sums(
             diff = data[:, b] - data[:, a]
         signs = (diff > 0).astype(float) - (diff < 0)
         surplus += signs @ signs.T
-        if count_untied:
-            untied += np.abs(signs) @ (present[:, b] & present[:, a]).T.astype(float)
+        untied += np.abs(signs) @ (present[:, b] & present[:, a]).T.astype(float)
     return surplus, untied
 
 
-def _kendall_cells(sums: tuple[np.ndarray, np.ndarray | None], overlap: np.ndarray, variant: str):
+def _kendall_cells(sums: tuple[np.ndarray, np.ndarray], overlap: np.ndarray, variant: str):
     """Kendall's tau of a column pair (i, j) from ``_kendall_sums`` and the overlap sizes.
 
     Every tau is one array operation: tau-a divides the surplus by the
@@ -265,7 +262,7 @@ def kendall(x: Sequence[float], y: Sequence[float], variant: str = "tau-a") -> f
         raise ValueError(f"variant must be 'tau-a' or 'tau-b', not {variant!r}")
     ax, ay = _as_checked_arrays(x, y)
     every = np.ones((2, ax.size), dtype=bool)
-    sums = _kendall_sums(np.stack((ax, ay)), every, count_untied=variant == "tau-b")
+    sums = _kendall_sums(np.stack((ax, ay)), every)
     return _kendall_cells(sums, np.full((2, 2), float(ax.size)), variant)(0, 1)
 
 

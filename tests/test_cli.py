@@ -177,10 +177,12 @@ def _cell(row, column, value):
     ("region.table", _cell(3, 2, " 1900"), "row 3"),
     ("type.table", _cell(3, 2, "3_00.0"), "row 3"),
     ("anomaly.table", _cell(3, 2, "0.5\t"), "row 3"),
+    ("region.table", _cell(3, 1, "xx"), "row 3"),
+    ("region.table", _cell(3, 0, ""), "row 3"),
 ], ids=["year-19x0", "measure-abc", "measure-nan", "negative-measure", "aggregate-maybe",
         "unknown-disaster-type", "month-13", "anomaly-warm", "renamed-key-column",
         "anomaly-two-columns", "short-row", "year-underscore", "year-leading-space",
-        "measure-underscore", "anomaly-trailing-tab"])
+        "measure-underscore", "anomaly-trailing-tab", "iso-not-alpha3", "empty-entity"])
 def test_stored_table_fault_is_data_error(bundled_dir, tmp_path, capsys, file, edit, where):
     corpus_dir = shutil.copytree(bundled_dir, tmp_path / "corpus")
     table = corpus_dir / file
@@ -210,6 +212,17 @@ def _ingested(text, message):
         argv = ["ingest", "--region", str(source), "--corpus", str(tmp_path / "corpus")]
         return argv, message.format(source=source)
     return case
+
+
+def _second_source_fault(tmp_path, bundled_dir):
+    # with two sources, the fault line says which file the row is in
+    good = tmp_path / "good.csv"
+    good.write_text("ENTITY,CODE,YEAR,DEATHS\nIndia,IND,2001,5\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("ENTITY,YEAR,OCCURRENCES\nFlood,2001,3\nFlood,2002,x\n")
+    argv = ["ingest", "--region", str(good), "--types", str(bad),
+            "--corpus", str(tmp_path / "corpus")]
+    return argv, f"{bad}: row 2, column 'OCCURRENCES': cannot parse 'x' as a number"
 
 
 def _charted(series, message):
@@ -263,11 +276,12 @@ def _map_without_code(tmp_path, bundled_dir):
     _ingested("ENTITY,YEAR,TEMPERATURE_ANOMALY\nx,2001,0.3\n",
               "{source}: matches anomaly, disaster-type"),
     _ingested("ENTITY,CODE,YEAR,DEATHS\nIndia,IND,2001,5\nIndia,IND,2002,x\n",
-              "row 2, column 'DEATHS': cannot parse 'x' as a number"),
+              "{source}: row 2, column 'DEATHS': cannot parse 'x' as a number"),
     _ingested("ENTITY,CODE,YEAR,DEATHS\nIndia,IND,1700,5\n",
-              "row 1: year 1700 outside [1850, 2100]"),
+              "{source}: row 1, column 'YEAR': year 1700 outside [1850, 2100]"),
     _ingested("ENTITY,CODE,YEAR,DEATHS\nIndia,IND,2001,-5\n",
-              "row 1: measure 'deaths' is negative: -5.0"),
+              "{source}: row 1: measure 'deaths' is negative: -5.0"),
+    _second_source_fault,
     _charted("Atlantis/deaths", "unknown entity or disaster type 'Atlantis'"),
     _charted("India/bogus", "no defined 'bogus' observations for 'India'; available measures: "
              "deaths, death_rate, percentage_share_deaths, internally_displaced"),
@@ -276,7 +290,8 @@ def _map_without_code(tmp_path, bundled_dir):
     _tampered_table,
     _map_without_code,
 ], ids=["ragged-row", "duplicate-header", "empty-input", "unknown-schema", "ambiguous-schema",
-        "unparseable-number", "year-out-of-range", "negative-measure", "unknown-selector",
+        "unparseable-number", "year-out-of-range", "negative-measure",
+        "fault-in-second-source", "unknown-selector",
         "unknown-measure", "missing-manifest", "missing-listed-table", "digest-mismatch",
         "map-entity-without-code"])
 def test_each_data_fault_is_exit_2_and_one_line(tmp_path, bundled_dir, capsys, case):

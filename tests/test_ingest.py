@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import raises_data_error
 from disclim.errors import DataError
 from disclim.ingest import (
-    _KEY_COLUMNS,
     _YEAR_COLUMNS,
     _YEAR_RE,
     COMMA,
@@ -320,22 +319,24 @@ class TestCoerceRegion:
 
     def test_unparseable_number_location(self):
         table = parse_delimited("ENTITY,CODE,YEAR,DEATHS\nIndia,IND,2001,5\nIndia,IND,2002,x\n")
-        with raises_data_error("row 2, column 'DEATHS': cannot parse 'x' as a number"):
+        with raises_data_error(
+            "<memory>: row 2, column 'DEATHS': cannot parse 'x' as a number"
+        ):
             coerce_records(table, SchemaKind.REGION)
 
     def test_year_out_of_range(self):
         table = parse_delimited("ENTITY,CODE,YEAR,DEATHS\nIndia,IND,1700,5\n")
-        with raises_data_error("row 1: year 1700 outside [1850, 2100]"):
+        with raises_data_error("<memory>: row 1, column 'YEAR': year 1700 outside [1850, 2100]"):
             coerce_records(table, SchemaKind.REGION)
 
     def test_negative_measure_rejected(self):
         table = parse_delimited("ENTITY,CODE,YEAR,DEATHS\nIndia,IND,2001,-5\n")
-        with raises_data_error("row 1: measure 'deaths' is negative: -5.0"):
+        with raises_data_error("<memory>: row 1: measure 'deaths' is negative: -5.0"):
             coerce_records(table, SchemaKind.REGION)
 
     def test_empty_entity_rejected(self):
         table = parse_delimited("ENTITY,CODE,YEAR,DEATHS\n ,IND,2001,5\n")
-        with pytest.raises(DataError):
+        with raises_data_error("<memory>: row 1, column 'ENTITY': empty entity name"):
             coerce_records(table, SchemaKind.REGION)
 
 
@@ -396,11 +397,11 @@ class TestCoerceAnomaly:
 class TestRecordFaultsNameTheRow:
     @pytest.mark.parametrize("text, kind, message", [
         ("ENTITY,CODE,YEAR,DEATHS\nIndia,IND,2001,5\nIndia,IND,2002,-3\n",
-         SchemaKind.REGION, "row 2: measure 'deaths' is negative: -3.0"),
+         SchemaKind.REGION, "<memory>: row 2: measure 'deaths' is negative: -3.0"),
         ("DATE,TEMPERATURE_ANOMALY\n2008-01-01,0.1\n2008-13-01,0.2\n",
-         SchemaKind.ANOMALY, "row 2: month 13 outside 1..12"),
+         SchemaKind.ANOMALY, "<memory>: row 2: month 13 outside 1..12"),
         ("ENTITY,YEAR,DEATHS\nFlood,2001,nan\n",
-         SchemaKind.DISASTER_TYPE, "row 1: measure 'deaths' is not finite: nan"),
+         SchemaKind.DISASTER_TYPE, "<memory>: row 1: measure 'deaths' is not finite: nan"),
     ])
     def test_raised_and_collected(self, text, kind, message):
         table = parse_delimited(text)
@@ -416,7 +417,7 @@ class TestRecordFaultsNameTheRow:
         assert main(["ingest", "--region", str(source),
                      "--corpus", str(tmp_path / "corpus")]) == 2
         assert capsys.readouterr().err == (
-            "disclim: row 2: measure 'deaths' is negative: -3.0\n"
+            f"disclim: {source}: row 2: measure 'deaths' is negative: -3.0\n"
         )
 
 
@@ -487,10 +488,8 @@ class TestColumnWiseCoercion:
         table, kind = table_and_kind
         expected = _coercion(_row_wise_coerce, table, kind)
         got = _coercion(coerce_records, table, kind)
-        if expected[0] == "raised" and not expected[2].startswith("row "):
-            # a record-validation fault now names its row when it is raised
-            first = _row_wise_coerce(table, kind, on_error="collect").errors[0]
-            expected = (*expected[:2], f"row {first.row}: {expected[2]}", *expected[3:])
+        if expected[0] == "raised":
+            expected = (*expected[:2], _as_worded_now(table, kind, expected[2]), *expected[3:])
         assert got == expected
 
     def test_sweep_reaches_every_outcome(self):
@@ -514,10 +513,36 @@ class TestColumnWiseCoercion:
                     (kind, "fault", "record")} <= seen
 
 
+def _as_worded_now(table: RawTable, kind: SchemaKind, message: str) -> str:
+    """The oracle's fault *message* as ``coerce_records`` words it.
+
+    Every fault now starts with the file.  A key fault (empty entity,
+    unknown type, year out of range) names its column too, and a
+    record-validation fault names its row; the reason is unchanged.
+    """
+    columns = _upper_columns(table)
+    located = re.match(r"row (\d+)(, column |: )", message)
+    if located is None:  # a record-validation fault, which knew no row
+        first = _row_wise_coerce(table, kind, on_error="collect").errors[0]
+        return f"{table.source_path}: row {first.row}: {message}"
+    if located[2] == ": ":  # a key fault, which named no column
+        reason = message[located.end():]
+        key = "ENTITY" if reason.startswith(("empty entity", "unknown disaster")) else next(
+            c for c in _YEAR_COLUMNS if c in columns)
+        return f"{table.source_path}: row {located[1]}, column {columns[key]!r}: {reason}"
+    return f"{table.source_path}: {message}"
+
+
 # -- the row-wise coercion, kept verbatim as the oracle for coerce_records ----
 # It converted every cell of every row, one row at a time.  Its collect mode,
 # which files each bad row and goes on, shows the sweep's faults and the row
 # a raised validation fault names.
+
+# the key columns (upper-cased) of the two disaster layouts
+_KEY_COLUMNS = {
+    SchemaKind.REGION: frozenset({"ENTITY", "CODE", "YEAR"}),
+    SchemaKind.DISASTER_TYPE: frozenset({"ENTITY", "YEAR"}),
+}
 
 
 @dataclass(frozen=True)
